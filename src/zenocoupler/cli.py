@@ -244,9 +244,20 @@ def cmd_zeno(args) -> int:
     return EXIT_OK
 
 
+# Sweep settings that a preset fixes, so their flags cannot apply with it.
+_PRESET_FIXED = ("k", "gamma_nl", "delta_k", "alpha", "beta", "gamma",
+                 "z", "gamma_z", "axis", "tol")
+
+
 def cmd_sweep(args) -> int:
     cfg = RunConfig(args)
     if cfg.preset:
+        ignored = ["--" + name.replace("_", "-") for name in _PRESET_FIXED
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise ValueError(
+                f"--preset fixes every sweep setting; remove {', '.join(ignored)}"
+            )
         spec = preset_sweep(cfg.preset)
     else:
         rng = cfg.gamma_z_range
@@ -289,7 +300,6 @@ def cmd_oracle(args) -> int:
     cfg = RunConfig(args)
     params = cfg.params()
     inputs = cfg.inputs()
-    tol = cfg.tol if cfg.tol is not None else 1e-9
     g = abs(cfg.gamma_nl)
     header = ["z", "gamma_z", "n_a", "n_b1", "n_b2", "conservation_drift",
               "norm_drift", "steps_used", "status"]
@@ -297,7 +307,7 @@ def cmd_oracle(args) -> int:
     from .fock import mode_expectations
 
     for z in cfg.z_values(default_gamma_z="0.05"):
-        report = propagate(params, inputs, float(z), cfg.cutoffs, tol=tol)
+        report = propagate(params, inputs, float(z), cfg.cutoffs)
         na, n1, n2 = mode_expectations(report.final_state)
         rows.append([float(z), g * float(z), na, n1, n2,
                      report.conservation_drift, report.norm_drift,
@@ -436,13 +446,13 @@ def _validation_checks(cfg, break_gamma_linearity: bool):
     diffs = []
     for g_nl in (1e-3, 5e-4):
         pg = CouplerParams(k=0.1, gamma_nl=g_nl, delta_k=1e-4)
-        report = propagate(pg, small, z_fix, trunc, tol=1e-9)
+        report = propagate(pg, small, z_fix, trunc)
         if g_nl == 1e-3:
             yield ("oracle_norm_drift", report.norm_drift, "<=1e-10",
                    report.norm_drift <= 1e-10)
             yield ("oracle_conservation_drift", report.conservation_drift,
                    "<=1e-8", report.conservation_drift <= 1e-8)
-        exact = oracle_zeno_parameter(pg, small, z_fix, trunc, tol=1e-9)
+        exact = oracle_zeno_parameter(pg, small, z_fix, trunc)
         diffs.append(abs(exact - zeno_parameter(pg, small, z_fix)))
     ratio = diffs[0] / diffs[1] if diffs[1] > 0 else math.inf
     yield ("oracle_gamma2_contraction", ratio, "in [3..5]", 3.0 <= ratio <= 5.0)
@@ -480,10 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z", help=z_help)
         p.add_argument("--gamma-z", dest="gamma_z",
                        help="rescaled length(s) gamma_nl*z, min:max:count or value")
-        p.add_argument("--tol", help="tolerance (classification or oracle)")
         p.add_argument("--cutoffs", help="Fock cutoffs na,nb1,nb2 (default 12,12,8)")
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--config", help="key=value config file")
+
+    def add_tol(p):
+        p.add_argument("--tol", help="classification tolerance on |delta_n_z| "
+                       "(default 1e-12)")
 
     p = sub.add_parser(
         "coeffs",
@@ -501,6 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classification, status.",
     )
     add_common(p)
+    add_tol(p)
     p.set_defaults(func=cmd_zeno)
 
     p = sub.add_parser(
@@ -510,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         "n_b2_uncoupled, delta_n_z, classification, status.",
     )
     add_common(p)
+    add_tol(p)
     p.add_argument("--preset", choices=["fig2", "fig3", "fig4"],
                    help="figure-reproduction preset")
     p.add_argument("--axis", help="secondary axis: name:min:max:count "

@@ -19,7 +19,7 @@ class ExcessiveTruncationLoss(ZenoCouplerError):
 
 
 class NonConvergence(ZenoCouplerError):
-    """Step doubling exceeded the configured ceiling."""
+    """The oracle's Taylor exponential did not converge within its term limit."""
 
 
 class InternalConsistencyError(ZenoCouplerError):

@@ -6,9 +6,13 @@ z-ordered exponential of +i G(z)/hbar with
     G/hbar = -k a b1^ - gamma_nl b1^2 b2^ exp(i dk z) + H.c.
 
 The sign convention reproduces the closed-form linear-coupler solution
-(f1, f2) in the gamma_nl = 0 limit.  z-ordering is handled by midpoint
-sampling of G per step; the per-step matrix exponential acts on the state
-through a truncation-controlled Taylor sum (the hot kernel).
+(f1, f2) in the gamma_nl = 0 limit.  G(z) depends on z only through the
+phase exp(i dk z), which the frame psi = exp(i dk z N_b2) phi removes: phi
+evolves under the constant generator G(0) - dk N_b2.  One exponential of
+that generator, acting on the state through a substepped Taylor sum (the
+action of the matrix exponential; Al-Mohy & Higham, SIAM J. Sci. Comput.
+33 (2011) 488), followed by the diagonal frame phase, is therefore exact
+up to rounding, with no step size or tolerance to choose.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ TRUNCATION_LOSS_LIMIT = 1e-6
 # same order as the last kept term.
 _TAYLOR_TERM_TOL = 1e-16
 _TAYLOR_MAX_TERMS = 300
-
-DEFAULT_ORACLE_TOL = 1e-9
-DEFAULT_MAX_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class FockStateVector:
 @dataclass(frozen=True)
 class PropagationReport:
     final_state: FockStateVector
-    steps_used: int
+    steps_used: int  # Taylor substeps of the exponential; 1 at z = 0
     norm_drift: float
     conservation_drift: float
 
@@ -101,12 +102,12 @@ class _Workspace:
         self.number_b1 = n1.astype(float)
         self.number_b2 = n2.astype(float)
 
-    def norm_bound(self, k: complex, gamma_nl: complex) -> float:
-        """Upper bound on the operator norm of G(z)/hbar (z-independent)."""
+    def norm_bound(self, k: complex, gamma_nl: complex, delta_k: float) -> float:
+        """Upper bound on the operator norm of G(0)/hbar - dk N_b2."""
         da, d1, d2 = self.shape
         lin = 2.0 * abs(k) * math.sqrt((da - 1) * d1)
         nl = 2.0 * abs(gamma_nl) * self.w1[-1] * math.sqrt(d2 - 1)
-        return lin + nl
+        return lin + nl + abs(delta_k) * (d2 - 1)
 
 
 def _coherent_amplitudes(mu: complex, n_max: int) -> tuple[np.ndarray, float]:
@@ -143,11 +144,6 @@ def build_coherent_state(
     )
 
 
-def _generator_action(ws, k, gamma_nl, delta_k, z, x, out):
-    neg_g = -complex(gamma_nl) * np.exp(1j * delta_k * z)
-    return _apply_kernel(x, out, -complex(k), neg_g, ws.sa, ws.s1, ws.s2, ws.w1)
-
-
 def apply_generator(
     params: CouplerParams, z: float, state: FockStateVector
 ) -> FockStateVector:
@@ -155,23 +151,28 @@ def apply_generator(
     ws = _Workspace(state.truncation)
     x = np.ascontiguousarray(state.grid())
     out = np.empty_like(x)
-    _generator_action(ws, params.k, params.gamma_nl, params.delta_k, z, x, out)
+    neg_g = -complex(params.gamma_nl) * np.exp(1j * params.delta_k * z)
+    _apply_kernel(x, out, -complex(params.k), neg_g, ws.sa, ws.s1, ws.s2, ws.w1)
     return FockStateVector(
         amplitudes=out.ravel(), truncation=state.truncation, norm_deficit=0.0
     )
 
 
-def _expm_step(ws, k, gamma_nl, delta_k, z_mid, dz, psi, bound):
-    """psi <- exp(i dz G(z_mid)/hbar) psi via a substepped Taylor sum."""
-    substeps = max(1, math.ceil(abs(dz) * bound))
+def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
+    """psi <- exp(i dz (G(0)/hbar - dk N_b2)) psi in place via a substepped
+    Taylor sum; returns the number of substeps."""
+    substeps = max(1, math.ceil(abs(dz) * ws.norm_bound(k, gamma_nl, delta_k)))
     factor = 1j * dz / substeps
+    neg_k, neg_g = -complex(k), -complex(gamma_nl)
+    shift = delta_k * ws.number_b2
     term = np.empty_like(psi)
     scratch = np.empty_like(psi)
     for _ in range(substeps):
         total = psi.copy()
         np.copyto(term, psi)
         for order in range(1, _TAYLOR_MAX_TERMS + 1):
-            _generator_action(ws, k, gamma_nl, delta_k, z_mid, term, scratch)
+            _apply_kernel(term, scratch, neg_k, neg_g, ws.sa, ws.s1, ws.s2, ws.w1)
+            scratch -= shift * term
             term, scratch = scratch, term
             term *= factor / order
             total += term
@@ -182,7 +183,7 @@ def _expm_step(ws, k, gamma_nl, delta_k, z_mid, dz, psi, bound):
         else:
             raise NonConvergence("Taylor exponential did not converge")
         np.copyto(psi, total)
-    return psi
+    return substeps
 
 
 def _expectations(ws, psi):
@@ -199,15 +200,6 @@ def _boundary_mass(psi) -> float:
     return float(np.sum(p[-1, :, :]) + np.sum(p[:, -1, :]) + np.sum(p[:, :, -1]))
 
 
-def _run_fixed(ws, k, gamma_nl, delta_k, z_final, psi0, n_steps, bound):
-    psi = psi0.copy()
-    dz = z_final / n_steps
-    for step in range(n_steps):
-        z_mid = (step + 0.5) * dz
-        psi = _expm_step(ws, k, gamma_nl, delta_k, z_mid, dz, psi, bound)
-    return psi
-
-
 def _propagate_raw(
     k: complex,
     gamma_nl: complex,
@@ -215,43 +207,21 @@ def _propagate_raw(
     inputs: CoherentInputs,
     z_final: float,
     truncation: TruncationSpec,
-    tol: float = DEFAULT_ORACLE_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    initial_steps: int = 8,
-    fixed_steps: int | None = None,
 ) -> PropagationReport:
     if z_final < 0:
         raise ValueError("z_final must be non-negative")
     state0 = build_coherent_state(inputs, truncation)
     ws = _Workspace(truncation)
-    psi0 = state0.grid().copy()
-    n0 = _expectations(ws, psi0)
+    psi = state0.grid().copy()
+    n0 = _expectations(ws, psi)
 
     if z_final == 0:
         return PropagationReport(
             final_state=state0, steps_used=1, norm_drift=0.0, conservation_drift=0.0
         )
 
-    bound = ws.norm_bound(k, gamma_nl)
-    if fixed_steps is not None:
-        psi = _run_fixed(ws, k, gamma_nl, delta_k, z_final, psi0, fixed_steps, bound)
-        steps = fixed_steps
-    else:
-        steps = max(1, initial_steps)
-        psi = _run_fixed(ws, k, gamma_nl, delta_k, z_final, psi0, steps, bound)
-        prev_nb2 = _expectations(ws, psi)[2]
-        while True:
-            if 2 * steps > max_steps:
-                raise NonConvergence(
-                    f"<N_b2> did not converge to {tol:.1e} within "
-                    f"{max_steps} midpoint steps"
-                )
-            steps *= 2
-            psi = _run_fixed(ws, k, gamma_nl, delta_k, z_final, psi0, steps, bound)
-            nb2 = _expectations(ws, psi)[2]
-            if abs(nb2 - prev_nb2) < tol:
-                break
-            prev_nb2 = nb2
+    substeps = _expm_step(ws, k, gamma_nl, delta_k, z_final, psi)
+    psi *= np.exp(1j * delta_k * z_final * ws.number_b2)
 
     leak = _boundary_mass(psi)
     if leak > TRUNCATION_LOSS_LIMIT:
@@ -266,7 +236,7 @@ def _propagate_raw(
     )
     return PropagationReport(
         final_state=final,
-        steps_used=steps,
+        steps_used=substeps,
         norm_drift=abs(float(np.linalg.norm(psi.ravel())) - 1.0),
         conservation_drift=abs((na + n1 + 2 * n2) - (na0 + n10 + 2 * n20)),
     )
@@ -277,22 +247,10 @@ def propagate(
     inputs: CoherentInputs,
     z_final: float,
     truncation: TruncationSpec,
-    tol: float = DEFAULT_ORACLE_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    fixed_steps: int | None = None,
 ) -> PropagationReport:
-    """Propagate the coherent input to z_final with step doubling until
-    successive <N_b2> values differ by less than tol."""
+    """Propagate the coherent input exactly (up to rounding) to z_final."""
     return _propagate_raw(
-        params.k,
-        params.gamma_nl,
-        params.delta_k,
-        inputs,
-        z_final,
-        truncation,
-        tol=tol,
-        max_steps=max_steps,
-        fixed_steps=fixed_steps,
+        params.k, params.gamma_nl, params.delta_k, inputs, z_final, truncation
     )
 
 
@@ -307,18 +265,14 @@ def oracle_zeno_parameter(
     inputs: CoherentInputs,
     z_final: float,
     truncation: TruncationSpec,
-    tol: float = DEFAULT_ORACLE_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> float:
     """Exact Zeno parameter: <N_b2> difference between the full system and
     the probe-free reference (k=0, alpha=0)."""
     full = _propagate_raw(
-        params.k, params.gamma_nl, params.delta_k, inputs, z_final, truncation,
-        tol=tol, max_steps=max_steps,
+        params.k, params.gamma_nl, params.delta_k, inputs, z_final, truncation
     )
     ref_inputs = CoherentInputs(alpha=0.0, beta=inputs.beta, gamma=inputs.gamma)
     ref = _propagate_raw(
-        0.0, params.gamma_nl, params.delta_k, ref_inputs, z_final, truncation,
-        tol=tol, max_steps=max_steps,
+        0.0, params.gamma_nl, params.delta_k, ref_inputs, z_final, truncation
     )
     return mode_expectations(full.final_state)[2] - mode_expectations(ref.final_state)[2]

@@ -13,10 +13,11 @@ values the anti-Zeno effect.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .coefficients import compute_coefficients, compute_h2_prime
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, InvalidParameters
 from .params import CoherentInputs, CouplerParams
 
 DEFAULT_CLASSIFICATION_TOL = 1e-12
@@ -82,6 +83,10 @@ def classify(delta_n_z: float, tol: float = DEFAULT_CLASSIFICATION_TOL) -> Class
     """Sign classification of the Zeno parameter at absolute tolerance tol."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
+    if not math.isfinite(delta_n_z):
+        raise InvalidParameters(
+            f"cannot classify a non-finite Zeno parameter ({delta_n_z})"
+        )
     if delta_n_z < -tol:
         return Classification.ZENO
     if delta_n_z > tol:

@@ -43,7 +43,11 @@ class CouplerParams:
                 "k must be nonzero; use the dedicated uncoupled-reference "
                 "operations for the k=0 case"
             )
-        if not math.isfinite(abs(k)) or not math.isfinite(self.delta_k):
+        if not (
+            math.isfinite(abs(k))
+            and math.isfinite(abs(complex(self.gamma_nl)))
+            and math.isfinite(self.delta_k)
+        ):
             raise InvalidParameters("couplings must be finite")
         ak2 = abs(k) ** 2
         denom = abs(4.0 * ak2 - self.delta_k**2)

@@ -184,7 +184,6 @@ def validate_against_oracle(
     spec: SweepSpec,
     truncation: TruncationSpec,
     sample_count: int,
-    oracle_tol: float = 1e-9,
     seed: int = 0,
     contraction_check: bool = True,
 ) -> OracleValidationReport:
@@ -197,8 +196,9 @@ def validate_against_oracle(
     if (
         abs(complex(spec.inputs.alpha)) > ORACLE_AMPLITUDE_LIMIT
         or abs(complex(spec.inputs.beta)) > ORACLE_AMPLITUDE_LIMIT
+        or abs(complex(spec.inputs.gamma)) > ORACLE_AMPLITUDE_LIMIT
     ):
-        raise ValueError("oracle validation needs |alpha|, |beta| <= 2")
+        raise ValueError("oracle validation needs |alpha|, |beta|, |gamma| <= 2")
     result = run_sweep(spec)
     ok_cells = [c for c in result.cells if c.status == "ok" and c.gamma_z > 0]
     rng = np.random.default_rng(seed)
@@ -211,7 +211,7 @@ def validate_against_oracle(
             spec, spec.secondary_name, cell.secondary_value
         )
         z = cell.sample.z
-        exact = oracle_zeno_parameter(params, inputs, z, truncation, tol=oracle_tol)
+        exact = oracle_zeno_parameter(params, inputs, z, truncation)
         max_disc = max(max_disc, abs(exact - cell.sample.delta_n_z))
 
     ratio = None
@@ -221,7 +221,7 @@ def validate_against_oracle(
         d = []
         for scale in (1.0, 0.5):
             p = dc_replace(params, gamma_nl=complex(params.gamma_nl) * scale)
-            exact = oracle_zeno_parameter(p, inputs, z, truncation, tol=oracle_tol)
+            exact = oracle_zeno_parameter(p, inputs, z, truncation)
             d.append(abs(exact - zeno_parameter(p, inputs, z)))
         ratio = d[0] / d[1] if d[1] > 0 else math.inf
     return OracleValidationReport(

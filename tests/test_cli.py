@@ -157,6 +157,12 @@ class TestCmdSweep:
         assert ok
         assert all(r["classification"] != "AntiZeno" for r in ok)
 
+    def test_preset_rejects_overridden_flags(self, capsys):
+        code, out = run_cli(["sweep", "--preset", "fig3", "--k", "5", "--tol", "1e-9"])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "--k" in err and "--tol" in err
+
     def test_custom_axis(self):
         code, out = run_cli(
             ["sweep", "--gamma-z", "0.01:0.05:3", "--axis", "phi:0:3.14159:2"]
@@ -184,7 +190,7 @@ class TestCmdOracle:
         code, out = run_cli(
             ["oracle", "--gamma-nl", "0", "--delta-k", "0", "--alpha", "1",
              "--beta", "0.5", "--gamma", "0", "--z", "12.5",
-             "--cutoffs", "14,14,1", "--tol", "1e-10"]
+             "--cutoffs", "14,14,1"]
         )
         assert code == 0
         _, rows = parse_table(out)
@@ -196,6 +202,14 @@ class TestCmdOracle:
             ["oracle", "--alpha", "5", "--z", "1", "--cutoffs", "6,6,4"]
         )
         assert code == 4
+
+
+@pytest.mark.parametrize("command", ["oracle", "coeffs", "validate"])
+def test_tol_is_usage_error_outside_zeno_and_sweep(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 class TestConfigFile:

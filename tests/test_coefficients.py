@@ -64,6 +64,11 @@ class TestCouplerParams:
         with pytest.raises(DegenerateParameters):
             CouplerParams(k=0.1, gamma_nl=0.001, delta_k=0.2)
 
+    @pytest.mark.parametrize("gamma_nl", [math.nan, math.inf, complex(0.001, math.nan)])
+    def test_non_finite_gamma_nl_rejected(self, gamma_nl):
+        with pytest.raises(InvalidParameters):
+            CouplerParams(k=0.1, gamma_nl=gamma_nl, delta_k=1e-4)
+
     def test_near_resonance_passes_outside_threshold(self):
         CouplerParams(k=0.1, gamma_nl=0.001, delta_k=0.2001)
 

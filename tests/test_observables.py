@@ -7,6 +7,7 @@ from zenocoupler import (
     Classification,
     CoherentInputs,
     CouplerParams,
+    InvalidParameters,
     classify,
     mean_photon_b2,
     mean_photon_b2_uncoupled,
@@ -147,6 +148,11 @@ class TestClassify:
     def test_within_tolerance_is_null(self):
         assert classify(5e-13, 1e-12) is Classification.NULL
         assert classify(-5e-13, 1e-12) is Classification.NULL
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(InvalidParameters):
+            classify(value)
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,15 @@ class TestValidateAgainstOracle:
                 simple_spec(count=2), TruncationSpec(8, 8, 5), sample_count=1
             )
 
+    def test_rejects_large_second_harmonic_amplitude(self):
+        spec = SweepSpec(
+            params=FIG2_PARAMS,
+            inputs=CoherentInputs(alpha=1.0, beta=1.0, gamma=3.0),
+            z_axis=AxisSpec(0.0, 0.05, 2),
+        )
+        with pytest.raises(ValueError, match="gamma"):
+            validate_against_oracle(spec, TruncationSpec(10, 10, 6), sample_count=1)
+
     def test_small_amplitude_report(self):
         spec = SweepSpec(
             params=FIG2_PARAMS,
@@ -156,7 +165,6 @@ class TestValidateAgainstOracle:
             spec,
             TruncationSpec(10, 10, 6),
             sample_count=2,
-            oracle_tol=1e-9,
         )
         assert report.sampled_cells == 2
         # discrepancy is the O(gamma_nl^2) remainder: small but nonzero
