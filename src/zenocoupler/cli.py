@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 validation failure, 2 invalid input,
 
 Complex values are accepted as "re", "re+imI" (e.g. 0.1-0.25I) or polar
 "mag@phase_rad" (e.g. 2@1.5708).  Config files are flat key=value text
-with '#' comments; keys mirror the flags with underscores (k, gamma_nl,
-delta_k, alpha, beta, gamma, z, gamma_z, axis, preset, tol, cutoffs, out).
+with '#' comments; a key is a flag of the subcommand without its leading
+dashes and with underscores for hyphens, and any other key is an error.
 """
 
 from __future__ import annotations
@@ -17,21 +17,24 @@ import cmath
 import math
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import observables
 from .coefficients import compute_coefficients, compute_h2_prime
-from .errors import (
-    DegenerateParameters,
-    ExcessiveTruncationLoss,
-    InvalidParameters,
-    NonConvergence,
-)
-from .fock import TruncationSpec, oracle_zeno_parameter, propagate
-from .observables import classify, mode_means, zeno_parameter, zeno_sample
+from .errors import DegenerateParameters, ExcessiveTruncationLoss, NonConvergence
+from .fock import TruncationSpec, mode_expectations, oracle_zeno_parameter, propagate
+from .observables import mode_means, zeno_parameter, zeno_sample
 from .params import CoherentInputs, CouplerParams
-from .sweep import AxisSpec, SweepSpec, find_transitions, preset_sweep, run_sweep
+from .sweep import (
+    SECONDARY_AXES,
+    AxisSpec,
+    SweepSpec,
+    preset_sweep,
+    run_sweep,
+    z_from_gamma_z,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -116,59 +119,75 @@ def read_config(path: str) -> dict[str, str]:
             cfg[key.strip()] = value.strip()
     return cfg
 
-_DEFAULTS = {
-    "k": "0.1",
-    "gamma_nl": "0.001",
-    "delta_k": "0.0001",
-    "alpha": "5",
-    "beta": "2",
-    "gamma": "1",
-    "tol": None,
-    "cutoffs": "12,12,8",
+
+class _Setting(NamedTuple):
+    """How a setting is parsed from its text, its default text, its help,
+    and the subcommands that read it."""
+
+    parse: Callable[[str], object]
+    default: str | None
+    help: str
+    commands: tuple[str, ...]
+
+
+_EVERY = ("coeffs", "zeno", "sweep", "oracle", "validate")
+_DRIVEN = ("zeno", "sweep", "oracle", "validate")  # read the input amplitudes
+_ALONG_Z = ("coeffs", "zeno", "sweep", "oracle")
+_RANGE = "min:max:count or value"
+
+# Every setting once: its name is the config key, and "--" plus the name
+# with hyphens for underscores is its flag on each subcommand that reads it.
+_SETTINGS = {
+    "k": _Setting(parse_complex, "0.1", "linear coupling (complex)", _EVERY),
+    "gamma_nl": _Setting(parse_complex, "0.001", "nonlinear coupling (complex)", _EVERY),
+    "delta_k": _Setting(float, "0.0001", "phase mismatch (real)", _EVERY),
+    "alpha": _Setting(parse_complex, "5", "probe-mode amplitude (complex)", _DRIVEN),
+    "beta": _Setting(parse_complex, "2", "fundamental-mode amplitude (complex)", _DRIVEN),
+    "gamma": _Setting(parse_complex, "1", "second-harmonic amplitude (complex)", _DRIVEN),
+    "z": _Setting(parse_range, None, f"propagation distance(s), {_RANGE}", _ALONG_Z),
+    "gamma_z": _Setting(parse_range, None, f"rescaled length(s) gamma_nl*z, {_RANGE}",
+                        _ALONG_Z),
+    "tol": _Setting(float, repr(observables.DEFAULT_CLASSIFICATION_TOL),
+                    "classification tolerance on |delta_n_z|", ("zeno", "sweep")),
+    "axis": _Setting(parse_axis, None, "secondary axis: name:min:max:count "
+                     f"(name in {', '.join(SECONDARY_AXES)})", ("sweep",)),
+    "preset": _Setting(str, None, "figure preset: fig2, fig3 or fig4", ("sweep",)),
+    "cutoffs": _Setting(parse_cutoffs, "12,12,8", "Fock cutoffs na,nb1,nb2", ("oracle",)),
+    "out": _Setting(str, None, "output CSV path (default stdout)", _EVERY),
 }
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 class RunConfig:
-    """Resolved settings: command-line flags > config file > defaults."""
+    """Resolved settings of one subcommand: flags > config file > defaults.
+
+    Each setting the subcommand reads becomes an attribute of the same
+    name, parsed, or None when it is unset and has no default; `given`
+    maps each setting the user set to where it was set.
+    """
 
     def __init__(self, args: argparse.Namespace):
+        names = [n for n, s in _SETTINGS.items() if args.command in s.commands]
         cfg = read_config(args.config) if args.config else {}
-        unknown = set(cfg) - {
-            "k", "gamma_nl", "delta_k", "alpha", "beta", "gamma",
-            "z", "gamma_z", "axis", "preset", "tol", "cutoffs", "out",
-        }
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-        def pick(name, default=None):
-            flag = getattr(args, name, None)
-            if flag is not None:
-                return flag
-            if name in cfg:
-                return cfg[name]
-            return default
-
-        self.k = parse_complex(pick("k", _DEFAULTS["k"]))
-        self.gamma_nl = parse_complex(pick("gamma_nl", _DEFAULTS["gamma_nl"]))
-        self.delta_k = float(pick("delta_k", _DEFAULTS["delta_k"]))
-        self.alpha = parse_complex(pick("alpha", _DEFAULTS["alpha"]))
-        self.beta = parse_complex(pick("beta", _DEFAULTS["beta"]))
-        self.gamma = parse_complex(pick("gamma", _DEFAULTS["gamma"]))
-        self.tol = pick("tol")
-        if self.tol is not None:
-            self.tol = float(self.tol)
-        self.cutoffs = parse_cutoffs(pick("cutoffs", _DEFAULTS["cutoffs"]))
-        self.out = pick("out")
-        self.preset = pick("preset")
-        axis = pick("axis")
-        self.axis = parse_axis(axis) if axis else None
-
-        z = pick("z")
-        gamma_z = pick("gamma_z")
-        if z is not None and gamma_z is not None:
+        unread = sorted(set(cfg) - set(names))
+        if unread:
+            raise ValueError(f"config keys not read by {args.command}: {unread}")
+        self.given: dict[str, str] = {}
+        for name in names:
+            text = getattr(args, name)
+            if text is not None:
+                self.given[name] = _flag(name)
+            elif name in cfg:
+                text = cfg[name]
+                self.given[name] = f"{name} (in {args.config})"
+            else:
+                text = _SETTINGS[name].default
+            setattr(self, name, None if text is None else _SETTINGS[name].parse(text))
+        if "z" in self.given and "gamma_z" in self.given:
             raise ValueError("--z and --gamma-z are mutually exclusive")
-        self.z_range = parse_range(z) if z is not None else None
-        self.gamma_z_range = parse_range(gamma_z) if gamma_z is not None else None
 
     def params(self) -> CouplerParams:
         return CouplerParams(k=self.k, gamma_nl=self.gamma_nl, delta_k=self.delta_k)
@@ -178,15 +197,10 @@ class RunConfig:
 
     def z_values(self, default_gamma_z="0:0.1:11") -> np.ndarray:
         """Requested z grid (plain length units)."""
-        if self.z_range is not None:
-            lo, hi, n = self.z_range
-            return AxisSpec(lo, hi, n).values()
-        rng = self.gamma_z_range or parse_range(default_gamma_z)
-        g = abs(self.gamma_nl)
-        if g == 0:
-            raise ValueError("gamma_z ranges need |gamma_nl| > 0")
-        lo, hi, n = rng
-        return AxisSpec(lo, hi, n).values() / g
+        if self.z is not None:
+            return AxisSpec(*self.z).values()
+        gamma_z = AxisSpec(*(self.gamma_z or parse_range(default_gamma_z)))
+        return z_from_gamma_z(gamma_z.values(), self.gamma_nl)
 
 
 def _fmt(v) -> str:
@@ -231,39 +245,34 @@ def cmd_zeno(args) -> int:
     cfg = RunConfig(args)
     params = cfg.params()
     inputs = cfg.inputs()
-    tol = cfg.tol if cfg.tol is not None else observables.DEFAULT_CLASSIFICATION_TOL
     g = abs(cfg.gamma_nl)
     header = ["z", "gamma_z", "n_b2", "n_b2_uncoupled", "delta_n_z",
               "classification", "status"]
     rows = []
     for z in cfg.z_values():
-        s = zeno_sample(params, inputs, float(z), tol)
+        s = zeno_sample(params, inputs, float(z), cfg.tol)
         rows.append([s.z, g * s.z, s.n_b2, s.n_b2_uncoupled, s.delta_n_z,
                      s.classification.value, "ok"])
     write_table(header, rows, cfg.out)
     return EXIT_OK
 
 
-# Sweep settings that a preset fixes, so their flags cannot apply with it.
-_PRESET_FIXED = ("k", "gamma_nl", "delta_k", "alpha", "beta", "gamma",
-                 "z", "gamma_z", "axis", "tol")
-
-
 def cmd_sweep(args) -> int:
     cfg = RunConfig(args)
     if cfg.preset:
-        ignored = ["--" + name.replace("_", "-") for name in _PRESET_FIXED
-                   if getattr(args, name) is not None]
+        # A preset fixes every sweep setting but the output path.
+        ignored = [where for name, where in cfg.given.items()
+                   if name not in ("preset", "out")]
         if ignored:
             raise ValueError(
                 f"--preset fixes every sweep setting; remove {', '.join(ignored)}"
             )
         spec = preset_sweep(cfg.preset)
     else:
-        rng = cfg.gamma_z_range
-        if rng is None and cfg.z_range is not None:
+        rng = cfg.gamma_z
+        if rng is None and cfg.z is not None:
             g = abs(cfg.gamma_nl)
-            rng = (cfg.z_range[0] * g, cfg.z_range[1] * g, cfg.z_range[2])
+            rng = (cfg.z[0] * g, cfg.z[1] * g, cfg.z[2])
         if rng is None:
             rng = (0.0, 0.1, 51)
         name, axis = cfg.axis if cfg.axis else (None, None)
@@ -273,10 +282,7 @@ def cmd_sweep(args) -> int:
             z_axis=AxisSpec(*rng),
             secondary_name=name,
             secondary_axis=axis,
-            classification_tol=(
-                cfg.tol if cfg.tol is not None
-                else observables.DEFAULT_CLASSIFICATION_TOL
-            ),
+            classification_tol=cfg.tol,
         )
     result = run_sweep(spec)
     header = ["axis_name", "axis_value", "z", "gamma_z", "n_b2",
@@ -304,8 +310,6 @@ def cmd_oracle(args) -> int:
     header = ["z", "gamma_z", "n_a", "n_b1", "n_b2", "conservation_drift",
               "norm_drift", "steps_used", "status"]
     rows = []
-    from .fock import mode_expectations
-
     for z in cfg.z_values(default_gamma_z="0.05"):
         report = propagate(params, inputs, float(z), cfg.cutoffs)
         na, n1, n2 = mode_expectations(report.final_state)
@@ -472,6 +476,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_ok else EXIT_VALIDATION_FAILED
 
 
+# subcommand -> (handler, help, output columns)
+_COMMANDS = {
+    "coeffs": (cmd_coeffs, "emit the twelve perturbative coefficients",
+               "z, gamma_z, then (re, im) pairs for f1..f4, g1..g4, h1..h4, then status"),
+    "zeno": (cmd_zeno, "emit Zeno-parameter samples along z",
+             "z, gamma_z, n_b2, n_b2_uncoupled, delta_n_z, classification, status"),
+    "sweep": (cmd_sweep, "emit a 1-D or 2-D Zeno-parameter grid",
+              "axis_name, axis_value, z, gamma_z, n_b2, n_b2_uncoupled, delta_n_z, "
+              "classification, status"),
+    "oracle": (cmd_oracle, "run the exact Fock-space propagation",
+               "z, gamma_z, n_a, n_b1, n_b2, conservation_drift, norm_drift, "
+               "steps_used, status"),
+    "validate": (cmd_validate, "run the full invariant suite (exit 0 iff all checks pass)",
+                 "check, measured, threshold, status"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenocoupler",
@@ -479,77 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, z_help="propagation distance(s), min:max:count or value"):
-        p.add_argument("--k", help="linear coupling (complex)")
-        p.add_argument("--gamma-nl", dest="gamma_nl", help="nonlinear coupling (complex)")
-        p.add_argument("--delta-k", dest="delta_k", help="phase mismatch (real)")
-        p.add_argument("--alpha", help="probe-mode amplitude (complex)")
-        p.add_argument("--beta", help="fundamental-mode amplitude (complex)")
-        p.add_argument("--gamma", help="second-harmonic amplitude (complex)")
-        p.add_argument("--z", help=z_help)
-        p.add_argument("--gamma-z", dest="gamma_z",
-                       help="rescaled length(s) gamma_nl*z, min:max:count or value")
-        p.add_argument("--cutoffs", help="Fock cutoffs na,nb1,nb2 (default 12,12,8)")
-        p.add_argument("--out", help="output CSV path (default stdout)")
+    for command, (func, help_text, columns) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, description=f"Columns: {columns}.")
+        for name, setting in _SETTINGS.items():
+            if command in setting.commands:
+                default = f" (default {setting.default})" if setting.default else ""
+                p.add_argument(_flag(name), dest=name, help=setting.help + default)
         p.add_argument("--config", help="key=value config file")
-
-    def add_tol(p):
-        p.add_argument("--tol", help="classification tolerance on |delta_n_z| "
-                       "(default 1e-12)")
-
-    p = sub.add_parser(
-        "coeffs",
-        help="emit the twelve perturbative coefficients",
-        description="Columns: z, gamma_z, then (re, im) pairs for "
-        "f1..f4, g1..g4, h1..h4, then status.",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser(
-        "zeno",
-        help="emit Zeno-parameter samples along z",
-        description="Columns: z, gamma_z, n_b2, n_b2_uncoupled, delta_n_z, "
-        "classification, status.",
-    )
-    add_common(p)
-    add_tol(p)
-    p.set_defaults(func=cmd_zeno)
-
-    p = sub.add_parser(
-        "sweep",
-        help="emit a 1-D or 2-D Zeno-parameter grid",
-        description="Columns: axis_name, axis_value, z, gamma_z, n_b2, "
-        "n_b2_uncoupled, delta_n_z, classification, status.",
-    )
-    add_common(p)
-    add_tol(p)
-    p.add_argument("--preset", choices=["fig2", "fig3", "fig4"],
-                   help="figure-reproduction preset")
-    p.add_argument("--axis", help="secondary axis: name:min:max:count "
-                   "(name in delta_k, k_magnitude, phi, gamma_nl)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "oracle",
-        help="run the exact Fock-space propagation",
-        description="Columns: z, gamma_z, n_a, n_b1, n_b2, "
-        "conservation_drift, norm_drift, steps_used, status.",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser(
-        "validate",
-        help="run the full invariant suite (exit 0 iff all checks pass)",
-        description="Columns: check, measured, threshold, status.",
-    )
-    add_common(p)
-    p.add_argument("--debug-break-gamma-linearity", action="store_true",
-                   help="inject a perturbation into the gamma-linearity "
-                   "check (forces a failure; for testing the harness)")
-    p.set_defaults(func=cmd_validate)
+        p.set_defaults(func=func)
+        if command == "validate":
+            p.add_argument("--debug-break-gamma-linearity", action="store_true",
+                           help="inject a perturbation into the gamma-linearity "
+                           "check (forces a failure; for testing the harness)")
     return parser
 
 
@@ -564,7 +526,7 @@ def main(argv=None) -> int:
     except (NonConvergence, ExcessiveTruncationLoss) as exc:
         print(f"error: oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_FAILURE
-    except (InvalidParameters, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidParameters is a ValueError
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .params import CouplerParams
+from .params import CouplerParams, check_length
 
 # Switch dk-division terms to a second-order series when both the total
 # accumulated phase and the mismatch-to-coupling ratio are tiny.
@@ -65,8 +65,7 @@ def _gmc_over_dk(delta_k: float, z: float, series: bool) -> complex:
 
 def compute_coefficients(params: CouplerParams, z: float) -> ModeCoefficients:
     """Evaluate all twelve coefficients at distance z >= 0."""
-    if z < 0:
-        raise ValueError("z must be non-negative")
+    check_length(z)
     k = complex(params.k)
     kc = k.conjugate()
     gc = complex(params.gamma_nl).conjugate()
@@ -121,7 +120,6 @@ def compute_h2_prime(gamma_nl: complex, delta_k: float, z: float) -> complex:
 
     The dk -> 0 removable limit is -i Gamma z.
     """
-    if z < 0:
-        raise ValueError("z must be non-negative")
+    check_length(z)
     series = abs(delta_k * z) < SERIES_SWITCH_PHASE
     return complex(gamma_nl) * _gmc_over_dk(float(delta_k), float(z), series)

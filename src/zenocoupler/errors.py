@@ -5,8 +5,9 @@ class ZenoCouplerError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidParameters(ZenoCouplerError):
-    """A parameter set violates a hard precondition (e.g. k = 0)."""
+class InvalidParameters(ZenoCouplerError, ValueError):
+    """An input violates a hard precondition (e.g. k = 0, z < 0, a
+    non-finite amplitude or a malformed axis)."""
 
 
 class DegenerateParameters(ZenoCouplerError):

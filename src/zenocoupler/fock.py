@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExcessiveTruncationLoss, NonConvergence
+from .errors import ExcessiveTruncationLoss, InvalidParameters, NonConvergence
 from .kernels import apply_generator as _apply_kernel
-from .params import CoherentInputs, CouplerParams
+from .params import CoherentInputs, CouplerParams, check_length
 
 # Per-mode probability mass that may be lost to truncation before the
 # state (or a propagation) is rejected as unreliable.
@@ -36,6 +36,9 @@ TRUNCATION_LOSS_LIMIT = 1e-6
 _TAYLOR_TERM_TOL = 1e-16
 _TAYLOR_MAX_TERMS = 300
 
+# Largest basis a TruncationSpec may span (64 MB per complex state vector).
+MAX_BASIS_DIMENSION = 4_000_000
+
 
 @dataclass(frozen=True)
 class TruncationSpec:
@@ -44,15 +47,14 @@ class TruncationSpec:
     n_a_max: int
     n_b1_max: int
     n_b2_max: int
-    max_dimension: int = 4_000_000
 
     def __post_init__(self):
         if min(self.n_a_max, self.n_b1_max, self.n_b2_max) < 1:
-            raise ValueError("every cutoff must be >= 1")
-        if self.dimension > self.max_dimension:
-            raise ValueError(
+            raise InvalidParameters("every cutoff must be >= 1")
+        if self.dimension > MAX_BASIS_DIMENSION:
+            raise InvalidParameters(
                 f"basis dimension {self.dimension} exceeds the memory guard "
-                f"({self.max_dimension})"
+                f"({MAX_BASIS_DIMENSION})"
             )
 
     @property
@@ -208,8 +210,7 @@ def _propagate_raw(
     z_final: float,
     truncation: TruncationSpec,
 ) -> PropagationReport:
-    if z_final < 0:
-        raise ValueError("z_final must be non-negative")
+    check_length(z_final)
     state0 = build_coherent_state(inputs, truncation)
     ws = _Workspace(truncation)
     psi = state0.grid().copy()

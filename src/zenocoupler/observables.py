@@ -81,8 +81,8 @@ def zeno_parameter(params: CouplerParams, inputs: CoherentInputs, z: float) -> f
 
 def classify(delta_n_z: float, tol: float = DEFAULT_CLASSIFICATION_TOL) -> Classification:
     """Sign classification of the Zeno parameter at absolute tolerance tol."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not tol >= 0:
+        raise InvalidParameters(f"tol must be non-negative, got {tol}")
     if not math.isfinite(delta_n_z):
         raise InvalidParameters(
             f"cannot classify a non-finite Zeno parameter ({delta_n_z})"

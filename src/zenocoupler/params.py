@@ -14,11 +14,18 @@ from .errors import DegenerateParameters, InvalidParameters
 
 # Relative width (in units of |k|^2) of the rejected band around the
 # 2|k| = |dk| resonance, where the coefficient denominators vanish.
-DEFAULT_DEGENERACY_THRESHOLD = 1e-9
+DEGENERACY_THRESHOLD = 1e-9
 
 # |gamma_nl| / |k| above this is outside the weak-nonlinearity regime the
 # perturbative solution assumes; flagged, not rejected.
 PERTURBATIVITY_RATIO = 0.1
+
+
+def check_length(z: float) -> None:
+    """Raise InvalidParameters unless the propagation distance z is finite
+    and non-negative (NaN fails the comparison too)."""
+    if not 0.0 <= z < math.inf:
+        raise InvalidParameters(f"z must be finite and non-negative, got {z}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +40,6 @@ class CouplerParams:
     k: complex
     gamma_nl: complex
     delta_k: float
-    degeneracy_threshold: float = DEFAULT_DEGENERACY_THRESHOLD
     perturbativity_warning: bool = field(init=False, default=False)
 
     def __post_init__(self):
@@ -51,11 +57,11 @@ class CouplerParams:
             raise InvalidParameters("couplings must be finite")
         ak2 = abs(k) ** 2
         denom = abs(4.0 * ak2 - self.delta_k**2)
-        if denom < self.degeneracy_threshold * ak2:
+        if denom < DEGENERACY_THRESHOLD * ak2:
             raise DegenerateParameters(
                 f"parameters sit on the 2|k|=|dk| resonance: "
                 f"|4|k|^2 - dk^2| = {denom:.3e} < "
-                f"{self.degeneracy_threshold:.1e} * |k|^2"
+                f"{DEGENERACY_THRESHOLD:.1e} * |k|^2"
             )
         if abs(complex(self.gamma_nl)) > PERTURBATIVITY_RATIO * abs(k):
             object.__setattr__(self, "perturbativity_warning", True)
@@ -73,6 +79,14 @@ class CoherentInputs:
     alpha: complex = 0.0
     beta: complex = 0.0
     gamma: complex = 0.0
+
+    def __post_init__(self):
+        if not (
+            cmath.isfinite(complex(self.alpha))
+            and cmath.isfinite(complex(self.beta))
+            and cmath.isfinite(complex(self.gamma))
+        ):
+            raise InvalidParameters("coherent amplitudes must be finite")
 
     @property
     def spontaneous(self) -> bool:

@@ -28,6 +28,15 @@ from .params import CoherentInputs, CouplerParams
 SECONDARY_AXES = ("delta_k", "k_magnitude", "phi", "gamma_nl")
 
 
+def z_from_gamma_z(gamma_z, gamma_nl: complex):
+    """Plain length z = gamma_z / |gamma_nl| (scalar or array) for a
+    rescaled length; it has no meaning when gamma_nl = 0."""
+    g = abs(complex(gamma_nl))
+    if g == 0:
+        raise InvalidParameters("rescaled length gamma_nl*z needs |gamma_nl| > 0")
+    return gamma_z / g
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """Inclusive linear axis: count points from min to max."""
@@ -38,9 +47,9 @@ class AxisSpec:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("axis count must be >= 1")
-        if self.min > self.max:
-            raise ValueError("axis min must not exceed max")
+            raise InvalidParameters("axis count must be >= 1")
+        if not -math.inf < self.min <= self.max < math.inf:
+            raise InvalidParameters("axis needs finite min <= max")
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -61,11 +70,12 @@ class SweepSpec:
 
     def __post_init__(self):
         if (self.secondary_name is None) != (self.secondary_axis is None):
-            raise ValueError("secondary_name and secondary_axis go together")
+            raise InvalidParameters("secondary_name and secondary_axis go together")
         if self.secondary_name is not None and self.secondary_name not in SECONDARY_AXES:
-            raise ValueError(f"unknown secondary axis {self.secondary_name!r}")
-        if abs(complex(self.params.gamma_nl)) == 0 and self.secondary_name != "gamma_nl":
-            raise ValueError("rescaled-length sweeps need |gamma_nl| > 0")
+            raise InvalidParameters(f"unknown secondary axis {self.secondary_name!r}")
+        if self.secondary_name != "gamma_nl":
+            # every cell converts its rescaled length with this gamma_nl
+            z_from_gamma_z(0.0, self.params.gamma_nl)
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,7 @@ def _cell_parameters(spec: SweepSpec, name: str | None, value: float | None):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the Zeno parameter over the grid, lexicographically ordered
     in (secondary index, z index); invalid cells become error markers."""
-    z_values = spec.z_axis.values()
+    gamma_z_values = spec.z_axis.values()
     if spec.secondary_axis is None:
         sec_values = [None]
     else:
@@ -128,19 +138,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for si, sv in enumerate(sec_values):
         try:
             params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
-            err = None
+            z_values = z_from_gamma_z(gamma_z_values, params.gamma_nl)
         except (DegenerateParameters, InvalidParameters) as exc:
-            params = inputs = None
-            err = str(exc)
-        g_mag = abs(complex(params.gamma_nl)) if params is not None else 0.0
-        for zi, gz in enumerate(z_values):
-            if err is not None:
-                cells.append(
-                    SweepCell(si, zi, sv, float(gz), None, "degenerate", err)
-                )
-                continue
-            z = float(gz) / g_mag if g_mag > 0 else float(gz)
-            sample = zeno_sample(params, inputs, z, spec.classification_tol)
+            cells.extend(
+                SweepCell(si, zi, sv, float(gz), None, "degenerate", str(exc))
+                for zi, gz in enumerate(gamma_z_values)
+            )
+            continue
+        for zi, (gz, z) in enumerate(zip(gamma_z_values, z_values)):
+            sample = zeno_sample(params, inputs, float(z), spec.classification_tol)
             cells.append(SweepCell(si, zi, sv, float(gz), sample, "ok"))
     return SweepResult(spec=spec, cells=cells)
 
@@ -174,18 +180,18 @@ def find_transitions(result: SweepResult) -> list[tuple[SweepCell, SweepCell]]:
 class OracleValidationReport:
     max_discrepancy: float
     sampled_cells: int
-    contraction_ratio: float | None
+    contraction_ratio: float
 
 
 ORACLE_AMPLITUDE_LIMIT = 2.0
+# Seed of the random choice of cells that validate_against_oracle compares.
+ORACLE_SAMPLE_SEED = 0
 
 
 def validate_against_oracle(
     spec: SweepSpec,
     truncation: TruncationSpec,
     sample_count: int,
-    seed: int = 0,
-    contraction_check: bool = True,
 ) -> OracleValidationReport:
     """Compare perturbative and oracle Zeno parameters at random grid cells.
 
@@ -198,10 +204,10 @@ def validate_against_oracle(
         or abs(complex(spec.inputs.beta)) > ORACLE_AMPLITUDE_LIMIT
         or abs(complex(spec.inputs.gamma)) > ORACLE_AMPLITUDE_LIMIT
     ):
-        raise ValueError("oracle validation needs |alpha|, |beta|, |gamma| <= 2")
+        raise InvalidParameters("oracle validation needs |alpha|, |beta|, |gamma| <= 2")
     result = run_sweep(spec)
     ok_cells = [c for c in result.cells if c.status == "ok" and c.gamma_z > 0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SAMPLE_SEED)
     chosen = rng.choice(len(ok_cells), size=min(sample_count, len(ok_cells)), replace=False)
 
     max_disc = 0.0
@@ -214,16 +220,14 @@ def validate_against_oracle(
         exact = oracle_zeno_parameter(params, inputs, z, truncation)
         max_disc = max(max_disc, abs(exact - cell.sample.delta_n_z))
 
-    ratio = None
-    if contraction_check:
-        params, inputs = spec.params, spec.inputs
-        z = spec.z_axis.max / abs(complex(params.gamma_nl))
-        d = []
-        for scale in (1.0, 0.5):
-            p = dc_replace(params, gamma_nl=complex(params.gamma_nl) * scale)
-            exact = oracle_zeno_parameter(p, inputs, z, truncation)
-            d.append(abs(exact - zeno_parameter(p, inputs, z)))
-        ratio = d[0] / d[1] if d[1] > 0 else math.inf
+    params, inputs = spec.params, spec.inputs
+    z = z_from_gamma_z(spec.z_axis.max, params.gamma_nl)
+    d = []
+    for scale in (1.0, 0.5):
+        p = dc_replace(params, gamma_nl=complex(params.gamma_nl) * scale)
+        exact = oracle_zeno_parameter(p, inputs, z, truncation)
+        d.append(abs(exact - zeno_parameter(p, inputs, z)))
+    ratio = d[0] / d[1] if d[1] > 0 else math.inf
     return OracleValidationReport(
         max_discrepancy=max_disc, sampled_cells=len(chosen), contraction_ratio=ratio
     )
@@ -267,4 +271,4 @@ def preset_sweep(name: str) -> SweepSpec:
             secondary_axis=AxisSpec(0.05, 0.5, 41),
             label="fig4: (gamma_z, k) surface, uniformly Zeno",
         )
-    raise ValueError(f"unknown preset {name!r}; expected fig2, fig3 or fig4")
+    raise InvalidParameters(f"unknown preset {name!r}; expected fig2, fig3 or fig4")

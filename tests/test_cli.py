@@ -94,6 +94,10 @@ class TestCmdCoeffs:
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
 
+    def test_nan_length_exits_2(self):
+        code, out = run_cli(["coeffs", "--z", "nan"])
+        assert code == 2 and out == ""
+
     def test_degenerate_exits_3(self):
         code, _ = run_cli(["coeffs", "--k", "0.1", "--delta-k", "0.2", "--z", "1"])
         assert code == 3
@@ -163,6 +167,15 @@ class TestCmdSweep:
         err = capsys.readouterr().err
         assert "--k" in err and "--tol" in err
 
+    def test_zero_gamma_nl_cell_is_marked(self):
+        # gamma_z cannot be turned into z at gamma_nl = 0; the cell must not
+        # silently take 0.05 as z
+        code, out = run_cli(["sweep", "--gamma-z", "0.05", "--axis", "gamma_nl:0:0.002:3"])
+        assert code == 0
+        _, rows = parse_table(out)
+        assert [r["status"] for r in rows] == ["degenerate", "ok", "ok"]
+        assert rows[0]["z"] == "" and rows[0]["delta_n_z"] == ""
+
     def test_custom_axis(self):
         code, out = run_cli(
             ["sweep", "--gamma-z", "0.01:0.05:3", "--axis", "phi:0:3.14159:2"]
@@ -197,6 +210,12 @@ class TestCmdOracle:
         want = abs(math.cos(0.1 * 12.5) - 1j * math.sin(0.1 * 12.5) * 0.5) ** 2
         assert float(rows[0]["n_a"]) == pytest.approx(want, abs=1e-8)
 
+    def test_infinite_length_exits_2(self):
+        code, out = run_cli(
+            ["oracle", "--z", "inf", "--alpha", "0.3", "--beta", "0.3", "--gamma", "0.2"]
+        )
+        assert code == 2 and out == ""
+
     def test_truncation_loss_exits_4(self):
         code, _ = run_cli(
             ["oracle", "--alpha", "5", "--z", "1", "--cutoffs", "6,6,4"]
@@ -204,12 +223,28 @@ class TestCmdOracle:
         assert code == 4
 
 
-@pytest.mark.parametrize("command", ["oracle", "coeffs", "validate"])
-def test_tol_is_usage_error_outside_zeno_and_sweep(command, capsys):
+# Each subcommand has only the flags of the settings it reads.
+_UNREAD_FLAGS = [
+    pytest.param("oracle", "--tol", id="oracle"),
+    pytest.param("coeffs", "--tol", id="coeffs"),
+    pytest.param("validate", "--tol", id="validate"),
+    *(
+        pytest.param(command, flag, id=f"{command}{flag}")
+        for command, flag in [
+            ("coeffs", "--alpha"), ("coeffs", "--beta"), ("coeffs", "--gamma"),
+            ("coeffs", "--cutoffs"), ("zeno", "--cutoffs"), ("sweep", "--cutoffs"),
+            ("validate", "--z"), ("validate", "--gamma-z"), ("validate", "--cutoffs"),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
+def test_tol_is_usage_error_outside_zeno_and_sweep(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--tol", "1e-9"])
+        main([command, flag, "1e-9"])
     assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -233,6 +268,20 @@ class TestConfigFile:
         cfg.write_text("frobnicate = 1\n")
         code, _ = run_cli(["zeno", "--config", str(cfg)])
         assert code == 2
+
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("cutoffs = 12,12,8\n")
+        code, out = run_cli(["zeno", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "cutoffs" in capsys.readouterr().err
+
+    def test_preset_rejects_config_settings(self, tmp_path, capsys):
+        cfg = tmp_path / "fig3.cfg"
+        cfg.write_text("preset = fig3\nk = 5\n")
+        code, out = run_cli(["sweep", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "remove k (in " in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -103,6 +103,13 @@ class TestComputeCoefficients:
         with pytest.raises(ValueError):
             compute_coefficients(CouplerParams(**FIG2), -1.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(InvalidParameters):
+            compute_coefficients(CouplerParams(**FIG2), z)
+        with pytest.raises(InvalidParameters):
+            compute_h2_prime(0.001, 1e-4, z)
+
     def test_structural_identities_random(self, rng):
         for _ in range(1000):
             p = random_params(rng)

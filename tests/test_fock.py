@@ -7,6 +7,7 @@ from zenocoupler import (
     CoherentInputs,
     CouplerParams,
     ExcessiveTruncationLoss,
+    InvalidParameters,
     FockStateVector,
     NonConvergence,
     TruncationSpec,
@@ -146,6 +147,11 @@ class TestPropagate:
         want *= np.exp(1j * p.delta_k * z * n_b2)
         got = propagate(p, inputs, z, trunc).final_state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
+    def test_invalid_length_rejected(self, z):
+        with pytest.raises(InvalidParameters):
+            propagate(FIG2_PARAMS, SMALL_INPUTS, z, TruncationSpec(8, 8, 5))
 
     def test_nonconvergence_raises(self, monkeypatch):
         # Two Taylor terms cannot reach the term tolerance at substep norm ~1.

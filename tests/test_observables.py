@@ -159,6 +159,15 @@ class TestClassify:
             classify(0.1, -1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("mode", ["alpha", "beta", "gamma"])
+def test_non_finite_amplitude_rejected(mode, value):
+    with pytest.raises(InvalidParameters):
+        zeno_parameter(FIG2_PARAMS, CoherentInputs(**{mode: value}), 50.0)
+    with pytest.raises(InvalidParameters):
+        mode_means(FIG2_PARAMS, CoherentInputs(**{mode: value}), 50.0)
+
+
 class TestZenoSample:
     def test_record_consistency(self):
         s = zeno_sample(FIG2_PARAMS, FIG2_INPUTS, 50.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,16 @@ from zenocoupler import (
     Classification,
     CoherentInputs,
     CouplerParams,
+    InvalidParameters,
     SweepSpec,
     TruncationSpec,
+    ZenoCouplerError,
+    classify,
     find_transitions,
     preset_sweep,
     run_sweep,
     validate_against_oracle,
+    zeno_sample,
 )
 
 FIG2_PARAMS = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=1e-4)
@@ -40,6 +46,42 @@ class TestAxisSpec:
             AxisSpec(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             AxisSpec(2.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AxisSpec(0.0, 1.0, 0),
+        lambda: AxisSpec(2.0, 1.0, 3),
+        lambda: AxisSpec(0.0, math.inf, 3),
+        lambda: AxisSpec(math.nan, 1.0, 3),
+        lambda: simple_spec(secondary_name="phi"),
+        lambda: simple_spec(secondary_name="z", secondary_axis=AxisSpec(0.0, 1.0, 2)),
+        lambda: SweepSpec(
+            params=CouplerParams(k=0.1, gamma_nl=0.0, delta_k=1e-4),
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.0, 0.1, 3),
+        ),
+        lambda: TruncationSpec(0, 5, 5),
+        lambda: TruncationSpec(300, 300, 300),
+        lambda: classify(0.1, -1.0),
+        lambda: classify(0.1, math.nan),
+        lambda: preset_sweep("fig9"),
+        lambda: validate_against_oracle(
+            simple_spec(count=2), TruncationSpec(8, 8, 5), sample_count=1
+        ),
+    ],
+    ids=[
+        "axis-count", "axis-order", "axis-inf", "axis-nan", "sweep-half-axis",
+        "sweep-axis-name", "sweep-zero-gamma-nl", "cutoff-floor", "memory-guard",
+        "classify-tol", "classify-nan-tol", "preset-name", "oracle-amplitude",
+    ],
+)
+def test_malformed_input_raises_typed_error(build):
+    with pytest.raises(InvalidParameters) as exc:
+        build()
+    assert isinstance(exc.value, ZenoCouplerError)
+    assert isinstance(exc.value, ValueError)
 
 
 class TestRunSweep:
@@ -106,6 +148,25 @@ class TestRunSweep:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_sweep("fig9")
+
+
+    def test_zero_gamma_nl_cell_marked(self):
+        # rescaled length has no meaning at gamma_nl = 0: that cell is an
+        # error marker, the others convert with their own gamma_nl
+        spec = SweepSpec(
+            params=FIG2_PARAMS,
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.05, 0.05, 1),
+            secondary_name="gamma_nl",
+            secondary_axis=AxisSpec(0.0, 0.002, 3),
+        )
+        first, *rest = run_sweep(spec).cells
+        assert first.sample is None and first.status == "degenerate"
+        assert "|gamma_nl|" in first.message
+        for cell in rest:
+            params = CouplerParams(k=0.1, gamma_nl=cell.secondary_value, delta_k=1e-4)
+            want = zeno_sample(params, FIG2_INPUTS, 0.05 / cell.secondary_value)
+            assert cell.status == "ok" and cell.sample == want
 
 
 class TestFindTransitions:
