@@ -10,6 +10,13 @@ operators as combinations of the z=0 operators:
 with G+- = 1 +- exp(-i dk z).  Every division by dk has a finite dk -> 0
 limit; those quotients are routed through series helpers below the switch
 threshold to avoid catastrophic cancellation.
+
+`compute_coefficients` and `compute_h2_prime` take z as a float or as a
+1-D float array.  A float z is evaluated with `cmath`/`math`, and the
+series switch is an `if`; an array z is evaluated elementwise with numpy
+in one pass, and the switch is an `np.where` per element, so one array
+may mix series and closed-form cells.  Both use the same expressions and
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import CouplerParams, check_length
 
@@ -30,7 +39,7 @@ SERIES_SWITCH_RATIO = 1e-6
 class ModeCoefficients:
     """The twelve coefficients evaluated at propagation distance z."""
 
-    z: float
+    z: float | np.ndarray
     f: tuple[complex, complex, complex, complex]
     g: tuple[complex, complex, complex, complex]
     h: tuple[complex, complex, complex, complex]
@@ -42,30 +51,58 @@ def g_pm(delta_k: float, z: float) -> tuple[complex, complex]:
     return 1.0 - e, 1.0 + e
 
 
-def _use_series(delta_k: float, z: float, k_mag: float) -> bool:
+def _use_series(delta_k: float, z, k_mag: float):
+    """Whether the dk-division terms take their series: a bool for a float
+    z, False or a bool array for an array z."""
     return (
-        abs(delta_k * z) < SERIES_SWITCH_PHASE
-        and abs(delta_k) < SERIES_SWITCH_RATIO * k_mag
+        abs(delta_k) < SERIES_SWITCH_RATIO * k_mag
+        and abs(delta_k * z) < SERIES_SWITCH_PHASE
     )
 
 
-def _gm_over_dk(delta_k: float, z: float, series: bool) -> complex:
-    """(1 - exp(-i dk z)) / dk, finite as dk -> 0 (limit i z)."""
+def _series_gm_over_dk(delta_k: float, z):
+    """Series of (1 - exp(-i dk z)) / dk about dk = 0 (limit i z)."""
+    return 1j * z + delta_k * z**2 / 2.0 - 1j * delta_k**2 * z**3 / 6.0
+
+
+def _series_gmc_over_dk(delta_k: float, z):
+    """Series of (1 - exp(+i dk z)) / dk about dk = 0 (limit -i z)."""
+    return -1j * z + delta_k * z**2 / 2.0 + 1j * delta_k**2 * z**3 / 6.0
+
+
+def _scalar_over_dk(series_fn, numerator: complex, delta_k: float, z: float, series: bool):
+    """numerator / dk, or its series where the switch says so."""
     if series:
-        return 1j * z + delta_k * z**2 / 2.0 - 1j * delta_k**2 * z**3 / 6.0
-    return (1.0 - cmath.exp(-1j * delta_k * z)) / delta_k
+        return series_fn(delta_k, z)
+    return numerator / delta_k
 
 
-def _gmc_over_dk(delta_k: float, z: float, series: bool) -> complex:
-    """(1 - exp(+i dk z)) / dk, finite as dk -> 0 (limit -i z)."""
-    if series:
-        return -1j * z + delta_k * z**2 / 2.0 + 1j * delta_k**2 * z**3 / 6.0
-    return (1.0 - cmath.exp(1j * delta_k * z)) / delta_k
+def _array_over_dk(series_fn, numerator, delta_k: float, z, series):
+    """Elementwise numerator / dk, or its series where the switch says so;
+    the branch a cell does not use may divide by zero (errors suppressed)."""
+    if not np.any(series):
+        return numerator / delta_k
+    return np.where(series, series_fn(delta_k, z), numerator / delta_k)
 
 
-def compute_coefficients(params: CouplerParams, z: float) -> ModeCoefficients:
-    """Evaluate all twelve coefficients at distance z >= 0."""
+# (exp, cos, sin, dk-quotient select) for a float z and for an array z
+_SCALAR_OPS = (cmath.exp, math.cos, math.sin, _scalar_over_dk)
+_ARRAY_OPS = (np.exp, np.cos, np.sin, _array_over_dk)
+
+
+def compute_coefficients(params: CouplerParams, z) -> ModeCoefficients:
+    """Evaluate all twelve coefficients at distance z >= 0, a float or a
+    1-D float array (each coefficient then has z's shape; h1 = 1 stays a
+    scalar)."""
     check_length(z)
+    if isinstance(z, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _coefficients(params, z, _ARRAY_OPS)
+    return _coefficients(params, z, _SCALAR_OPS)
+
+
+def _coefficients(params: CouplerParams, z, ops) -> ModeCoefficients:
+    exp, cos, sin, over_dk = ops
     k = complex(params.k)
     kc = k.conjugate()
     gc = complex(params.gamma_nl).conjugate()
@@ -76,14 +113,16 @@ def compute_coefficients(params: CouplerParams, z: float) -> ModeCoefficients:
     denom = 4.0 * ak2 - dk * dk
 
     series = _use_series(dk, z, ak)
-    exp_m = cmath.exp(-1j * dk * z)
+    exp_m = exp(-1j * dk * z)
+    # h coefficients use the conjugates G-* and (G+* - 1) = exp(+i dk z).
+    exp_p = exp_m.conjugate()
     gm = 1.0 - exp_m
     gp = 1.0 + exp_m
-    gm_dk = _gm_over_dk(dk, z, series)
-    gmc_dk = _gmc_over_dk(dk, z, series)
+    gm_dk = over_dk(_series_gm_over_dk, gm, dk, z, series)
+    gmc_dk = over_dk(_series_gmc_over_dk, 1.0 - exp_p, dk, z, series)
 
-    f1 = math.cos(ak * z) + 0j
-    f2 = -1j * kc / ak * math.sin(ak * z)
+    f1 = cos(ak * z) + 0j
+    f2 = -1j * kc / ak * sin(ak * z)
     g1 = -f2.conjugate()
     g2 = f1
 
@@ -98,10 +137,8 @@ def compute_coefficients(params: CouplerParams, z: float) -> ModeCoefficients:
         2.0 * kc * gc / denom
     ) * gm * f1
 
-    # h coefficients use the conjugates G-* and (G+* - 1) = exp(+i dk z).
-    exp_p = exp_m.conjugate()
-    s2 = math.sin(2.0 * ak * z)
-    c2 = math.cos(2.0 * ak * z)
+    s2 = sin(2.0 * ak * z)
+    c2 = cos(2.0 * ak * z)
     brace = 2.0 * ak * exp_p * s2 - 1j * dk * (1.0 - exp_p * c2)
     h1 = 1.0 + 0j
     h2 = gam * gmc_dk / 2.0 - 1j * gam / (2.0 * denom) * brace
@@ -115,11 +152,21 @@ def compute_coefficients(params: CouplerParams, z: float) -> ModeCoefficients:
     return ModeCoefficients(z=z, f=(f1, f2, f3, f4), g=(g1, g2, g3, g4), h=(h1, h2, h3, h4))
 
 
-def compute_h2_prime(gamma_nl: complex, delta_k: float, z: float) -> complex:
-    """Uncoupled-reference coefficient h2' = h2(k=0) = Gamma (1 - e^{i dk z}) / dk.
+def compute_h2_prime(gamma_nl: complex, delta_k: float, z):
+    """Uncoupled-reference coefficient h2' = h2(k=0) = Gamma (1 - e^{i dk z}) / dk,
+    for a float z or elementwise for a 1-D float array z.
 
     The dk -> 0 removable limit is -i Gamma z.
     """
     check_length(z)
-    series = abs(delta_k * z) < SERIES_SWITCH_PHASE
-    return complex(gamma_nl) * _gmc_over_dk(float(delta_k), float(z), series)
+    dk = float(delta_k)
+    if isinstance(z, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return complex(gamma_nl) * _h2_prime_over_gamma(dk, z, _ARRAY_OPS)
+    return complex(gamma_nl) * _h2_prime_over_gamma(dk, z, _SCALAR_OPS)
+
+
+def _h2_prime_over_gamma(dk: float, z, ops):
+    exp, _, _, over_dk = ops
+    series = abs(dk * z) < SERIES_SWITCH_PHASE
+    return over_dk(_series_gmc_over_dk, 1.0 - exp(1j * dk * z), dk, z, series)

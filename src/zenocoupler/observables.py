@@ -16,6 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coefficients import compute_coefficients, compute_h2_prime
 from .errors import InternalConsistencyError, InvalidParameters
 from .params import CoherentInputs, CouplerParams
@@ -43,40 +45,70 @@ class ZenoSample:
     classification: Classification
 
 
-def _real_pair_sum(x: complex) -> float:
-    """Return x + conj(x) as a real number, guarding the residue."""
+def _real_pair_sum(x):
+    """Return x + conj(x) as a real number (a real array for an array x),
+    guarding the residue."""
     total = x + x.conjugate()
-    if abs(total.imag) > _IMAG_RESIDUE_TOL:
+    residue = abs(total.imag)
+    if isinstance(residue, np.ndarray):
+        residue = residue.max()
+    if residue > _IMAG_RESIDUE_TOL:
         raise InternalConsistencyError(
-            f"imaginary residue {total.imag:.3e} in a real-by-construction sum"
+            f"imaginary residue {residue:.3e} in a real-by-construction sum"
         )
     return total.real
 
 
-def mean_photon_b2(params: CouplerParams, inputs: CoherentInputs, z: float) -> float:
-    """Mean photon number of the second-harmonic mode at distance z."""
-    _, h2, h3, h4 = compute_coefficients(params, z).h
-    a, b, g = (complex(inputs.alpha), complex(inputs.beta), complex(inputs.gamma))
+def _amplitudes(inputs: CoherentInputs) -> tuple[complex, complex, complex]:
+    return complex(inputs.alpha), complex(inputs.beta), complex(inputs.gamma)
+
+
+# The three second-harmonic expressions, from given coefficients; each
+# works elementwise when the coefficients are arrays.
+def _n_b2(h, a: complex, b: complex, g: complex):
+    _, h2, h3, h4 = h
     cross = (h2 * b * b + h3 * a * b + h4 * a * a) * g.conjugate()
     return abs(g) ** 2 + _real_pair_sum(cross)
+
+
+def _n_b2_uncoupled(h2p, b: complex, g: complex):
+    return abs(g) ** 2 + _real_pair_sum(h2p * b * b * g.conjugate())
+
+
+def _delta_n_z(h, h2p, a: complex, b: complex, g: complex):
+    # its own cross term in (h2 - h2'), not a difference of the two means
+    _, h2, h3, h4 = h
+    cross = ((h2 - h2p) * b * b + h3 * a * b + h4 * a * a) * g.conjugate()
+    return _real_pair_sum(cross)
+
+
+def _b2_numbers(params: CouplerParams, inputs: CoherentInputs, z):
+    """(<N_b2>, <N_b2>_{k=0}, dN_Z) at a float z, or as arrays over a 1-D
+    array z, from one coefficient and one h2' evaluation."""
+    h = compute_coefficients(params, z).h
+    h2p = compute_h2_prime(params.gamma_nl, params.delta_k, z)
+    a, b, g = _amplitudes(inputs)
+    return _n_b2(h, a, b, g), _n_b2_uncoupled(h2p, b, g), _delta_n_z(h, h2p, a, b, g)
+
+
+def mean_photon_b2(params: CouplerParams, inputs: CoherentInputs, z: float) -> float:
+    """Mean photon number of the second-harmonic mode at distance z."""
+    return _n_b2(compute_coefficients(params, z).h, *_amplitudes(inputs))
 
 
 def mean_photon_b2_uncoupled(
     gamma_nl: complex, delta_k: float, inputs: CoherentInputs, z: float
 ) -> float:
     """Probe-free reference <N_b2(z)> at k=0 and alpha=0 (alpha is ignored)."""
-    h2p = compute_h2_prime(gamma_nl, delta_k, z)
-    b, g = complex(inputs.beta), complex(inputs.gamma)
-    return abs(g) ** 2 + _real_pair_sum(h2p * b * b * g.conjugate())
+    _, b, g = _amplitudes(inputs)
+    return _n_b2_uncoupled(compute_h2_prime(gamma_nl, delta_k, z), b, g)
 
 
 def zeno_parameter(params: CouplerParams, inputs: CoherentInputs, z: float) -> float:
     """Zeno parameter dN_Z = <N_b2(z)> - <N_b2(z)>_{k=0}."""
-    _, h2, h3, h4 = compute_coefficients(params, z).h
+    h = compute_coefficients(params, z).h
     h2p = compute_h2_prime(params.gamma_nl, params.delta_k, z)
-    a, b, g = (complex(inputs.alpha), complex(inputs.beta), complex(inputs.gamma))
-    cross = ((h2 - h2p) * b * b + h3 * a * b + h4 * a * a) * g.conjugate()
-    return _real_pair_sum(cross)
+    return _delta_n_z(h, h2p, *_amplitudes(inputs))
 
 
 def classify(delta_n_z: float, tol: float = DEFAULT_CLASSIFICATION_TOL) -> Classification:
@@ -101,9 +133,7 @@ def zeno_sample(
     tol: float = DEFAULT_CLASSIFICATION_TOL,
 ) -> ZenoSample:
     """Evaluate one ZenoSample record at distance z."""
-    n_b2 = mean_photon_b2(params, inputs, z)
-    n_ref = mean_photon_b2_uncoupled(params.gamma_nl, params.delta_k, inputs, z)
-    dnz = zeno_parameter(params, inputs, z)
+    n_b2, n_ref, dnz = _b2_numbers(params, inputs, z)
     return ZenoSample(
         z=z,
         n_b2=n_b2,
@@ -124,7 +154,7 @@ def mode_means(
     c = compute_coefficients(params, z)
     f1, f2, f3, f4 = c.f
     g1, g2, g3, g4 = c.g
-    a, b, g = (complex(inputs.alpha), complex(inputs.beta), complex(inputs.gamma))
+    a, b, g = _amplitudes(inputs)
 
     lin_a = f1 * a + f2 * b
     lin_b1 = g1 * a + g2 * b
@@ -134,5 +164,4 @@ def mode_means(
     n_b1 = abs(lin_b1) ** 2 + _real_pair_sum(
         g * lin_b1.conjugate() * (g3 * b.conjugate() + g4 * a.conjugate())
     )
-    n_b2 = mean_photon_b2(params, inputs, z)
-    return n_a, n_b1, n_b2
+    return n_a, n_b1, _n_b2(c.h, a, b, g)

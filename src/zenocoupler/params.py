@@ -10,6 +10,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateParameters, InvalidParameters
 
 # Relative width (in units of |k|^2) of the rejected band around the
@@ -21,10 +23,15 @@ DEGENERACY_THRESHOLD = 1e-9
 PERTURBATIVITY_RATIO = 0.1
 
 
-def check_length(z: float) -> None:
-    """Raise InvalidParameters unless the propagation distance z is finite
-    and non-negative (NaN fails the comparison too)."""
-    if not 0.0 <= z < math.inf:
+def check_length(z) -> None:
+    """Raise InvalidParameters unless the propagation distance z, a float or
+    every element of an array, is finite and non-negative (NaN fails the
+    comparison too)."""
+    if isinstance(z, np.ndarray):
+        bad = z[~((0.0 <= z) & (z < math.inf))]
+        if bad.size:
+            raise InvalidParameters(f"z must be finite and non-negative, got {bad[0]}")
+    elif not 0.0 <= z < math.inf:
         raise InvalidParameters(f"z must be finite and non-negative, got {z}")
 
 

@@ -4,6 +4,14 @@ parameter, zero-crossing detection, and oracle cross-validation.
 The z axis is expressed in rescaled length (gamma_nl * z), matching the
 horizontal axis of the paper-style plots; each cell converts back to z
 using the magnitude of its own nonlinear coupling.
+
+`run_sweep` evaluates a grid row by row: within a row (one secondary-axis
+value) the couplings and inputs are fixed, so the closed form runs once
+over the row's z array and the row's cells are built from that array
+evaluation.  Each cell equals the scalar `zeno_sample` at its own z to
+rounding.  A row whose parameters raise becomes a row of error markers:
+status "degenerate" for DegenerateParameters (the 2|k| = |dk| resonance),
+"invalid" for InvalidParameters (e.g. k = 0 or gamma_nl = 0).
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ from .observables import (
     DEFAULT_CLASSIFICATION_TOL,
     Classification,
     ZenoSample,
+    _b2_numbers,
+    classify,
     zeno_parameter,
-    zeno_sample,
 )
 from .params import CoherentInputs, CouplerParams
 
@@ -87,7 +96,10 @@ class SweepCell:
     secondary_value: float | None
     gamma_z: float
     sample: ZenoSample | None
-    status: str  # "ok" or "degenerate"
+    # "ok"; "degenerate" on the 2|k| = |dk| resonance (DegenerateParameters);
+    # "invalid" where the cell's parameters break a precondition
+    # (InvalidParameters, e.g. k = 0 or gamma_nl = 0)
+    status: str
     message: str = ""
 
 
@@ -127,53 +139,63 @@ def _cell_parameters(spec: SweepSpec, name: str | None, value: float | None):
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the Zeno parameter over the grid, lexicographically ordered
-    in (secondary index, z index); invalid cells become error markers."""
+    in (secondary index, z index), one pass per row; cells whose parameters
+    raise become error markers."""
     gamma_z_values = spec.z_axis.values()
+    gamma_z_list = gamma_z_values.tolist()
     if spec.secondary_axis is None:
         sec_values = [None]
     else:
-        sec_values = list(spec.secondary_axis.values())
+        sec_values = spec.secondary_axis.values().tolist()
 
+    tol = spec.classification_tol
     cells: list[SweepCell] = []
     for si, sv in enumerate(sec_values):
         try:
             params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
             z_values = z_from_gamma_z(gamma_z_values, params.gamma_nl)
         except (DegenerateParameters, InvalidParameters) as exc:
+            status = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
             cells.extend(
-                SweepCell(si, zi, sv, float(gz), None, "degenerate", str(exc))
-                for zi, gz in enumerate(gamma_z_values)
+                SweepCell(si, zi, sv, gz, None, status, str(exc))
+                for zi, gz in enumerate(gamma_z_list)
             )
             continue
-        for zi, (gz, z) in enumerate(zip(gamma_z_values, z_values)):
-            sample = zeno_sample(params, inputs, float(z), spec.classification_tol)
-            cells.append(SweepCell(si, zi, sv, float(gz), sample, "ok"))
+        n_b2, n_ref, dnz = _b2_numbers(params, inputs, z_values)
+        cells.extend(
+            SweepCell(si, zi, sv, gz, ZenoSample(z, nb, nr, d, classify(d, tol)), "ok")
+            for zi, (gz, z, nb, nr, d) in enumerate(zip(
+                gamma_z_list, z_values.tolist(), n_b2.tolist(), n_ref.tolist(),
+                dnz.tolist()))
+        )
     return SweepResult(spec=spec, cells=cells)
+
+
+_SIGN = {Classification.ZENO: -1, Classification.ANTI_ZENO: 1, Classification.NULL: 0}
 
 
 def find_transitions(result: SweepResult) -> list[tuple[SweepCell, SweepCell]]:
     """Adjacent cell pairs (along either grid axis) whose Zeno parameters
-    have strictly opposite sign classifications."""
+    have strictly opposite sign classifications, in row-major order of
+    their first cell, the z neighbour before the secondary neighbour."""
     if len(result.cells) < 2:
-        raise ValueError("need at least 2 samples to bracket a transition")
+        raise InvalidParameters("need at least 2 samples to bracket a transition")
     ns, nz = result.n_secondary, result.n_z
-    grid = {(c.secondary_index, c.z_index): c for c in result.cells}
-
-    def opposite(a: SweepCell, b: SweepCell) -> bool:
-        if a.sample is None or b.sample is None:
-            return False
-        pair = {a.sample.classification, b.sample.classification}
-        return pair == {Classification.ZENO, Classification.ANTI_ZENO}
-
-    brackets = []
-    for si in range(ns):
-        for zi in range(nz):
-            cell = grid[(si, zi)]
-            if zi + 1 < nz and opposite(cell, grid[(si, zi + 1)]):
-                brackets.append((cell, grid[(si, zi + 1)]))
-            if si + 1 < ns and opposite(cell, grid[(si + 1, zi)]):
-                brackets.append((cell, grid[(si + 1, zi)]))
-    return brackets
+    grid = {}
+    sign = np.zeros((ns, nz), dtype=np.int8)  # 0 for Null and error cells
+    for c in result.cells:
+        key = (c.secondary_index, c.z_index)
+        grid[key] = c
+        if c.sample is not None:
+            sign[key] = _SIGN[c.sample.classification]
+    # opposite[si, zi, 0]: (si, zi) and (si, zi + 1); [..., 1]: and (si + 1, zi)
+    opposite = np.zeros((ns, nz, 2), dtype=bool)
+    opposite[:, :-1, 0] = sign[:, :-1] * sign[:, 1:] < 0
+    opposite[:-1, :, 1] = sign[:-1, :] * sign[1:, :] < 0
+    return [
+        (grid[si, zi], grid[si + axis, zi + 1 - axis])
+        for si, zi, axis in zip(*(idx.tolist() for idx in np.nonzero(opposite)))
+    ]
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,15 @@ class TestCmdSweep:
         code, out = run_cli(["sweep", "--gamma-z", "0.05", "--axis", "gamma_nl:0:0.002:3"])
         assert code == 0
         _, rows = parse_table(out)
-        assert [r["status"] for r in rows] == ["degenerate", "ok", "ok"]
+        assert [r["status"] for r in rows] == ["invalid", "ok", "ok"]
         assert rows[0]["z"] == "" and rows[0]["delta_n_z"] == ""
+
+    def test_zero_k_cell_is_invalid(self):
+        # k = 0 breaks a precondition; it is not the 2|k| = |dk| resonance
+        code, out = run_cli(["sweep", "--gamma-z", "0:0.1:2", "--axis", "k_magnitude:0:0.3:2"])
+        assert code == 0
+        _, rows = parse_table(out)
+        assert [r["status"] for r in rows] == ["invalid", "invalid", "ok", "ok"]
 
     def test_custom_axis(self):
         code, out = run_cli(

@@ -12,6 +12,7 @@ from zenocoupler import (
     compute_h2_prime,
     g_pm,
 )
+from zenocoupler.coefficients import SERIES_SWITCH_PHASE
 
 from conftest import random_params
 
@@ -174,3 +175,36 @@ class TestH2Prime:
         lo = compute_h2_prime(0.001, 0.999e-7, z)
         hi = compute_h2_prime(0.001, 1.001e-7, z)
         assert abs(lo - hi) / abs(hi) < 1e-8
+
+
+class TestArrayZ:
+    def test_rows_match_scalar(self, rng):
+        # Every row starts at z = 0, where h2' always takes its series and
+        # the coefficients do on the tiny-dk rows; those rows also straddle
+        # the switch at |dk z| = SERIES_SWITCH_PHASE.  Differences are
+        # rounding of the same expressions, on the scale |value| + |Gamma| z.
+        for row in range(240):
+            p = random_params(rng)
+            z = np.concatenate([[0.0], rng.uniform(0.0, 200.0, 6)])
+            if row % 3 == 0:
+                dk = abs(p.k) * rng.uniform(1e-9, 1e-7)
+                p = CouplerParams(k=p.k, gamma_nl=p.gamma_nl, delta_k=dk)
+                switch = SERIES_SWITCH_PHASE / dk
+                z = np.concatenate([z, [switch * (1 - 1e-9), switch * (1 + 1e-9)]])
+            c = compute_coefficients(p, z)
+            rows = [np.broadcast_to(v, z.shape) for v in (*c.f, *c.g, *c.h)]
+            rows.append(compute_h2_prime(p.gamma_nl, p.delta_k, z))
+            for i, zi in enumerate(z.tolist()):
+                s = compute_coefficients(p, zi)
+                want = (*s.f, *s.g, *s.h, compute_h2_prime(p.gamma_nl, p.delta_k, zi))
+                scale = abs(p.gamma_nl) * zi
+                for got, w in zip(rows, want):
+                    assert abs(got[i] - w) <= 1e-13 * (abs(w) + scale)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_invalid_array_z_rejected(self, bad):
+        z = np.array([0.0, 10.0, bad, 20.0])
+        with pytest.raises(InvalidParameters, match="non-negative"):
+            compute_coefficients(CouplerParams(**FIG2), z)
+        with pytest.raises(InvalidParameters, match="non-negative"):
+            compute_h2_prime(0.001, 1e-4, z)

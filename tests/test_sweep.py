@@ -9,16 +9,25 @@ from zenocoupler import (
     CoherentInputs,
     CouplerParams,
     InvalidParameters,
+    SweepCell,
+    SweepResult,
     SweepSpec,
     TruncationSpec,
     ZenoCouplerError,
+    ZenoSample,
     classify,
+    compute_coefficients,
+    compute_h2_prime,
     find_transitions,
     preset_sweep,
     run_sweep,
     validate_against_oracle,
     zeno_sample,
 )
+from zenocoupler.coefficients import SERIES_SWITCH_PHASE
+from zenocoupler.sweep import SECONDARY_AXES, _cell_parameters
+
+from conftest import random_params
 
 FIG2_PARAMS = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=1e-4)
 FIG2_INPUTS = CoherentInputs(alpha=5.0, beta=2.0, gamma=1.0)
@@ -82,6 +91,25 @@ def test_malformed_input_raises_typed_error(build):
         build()
     assert isinstance(exc.value, ZenoCouplerError)
     assert isinstance(exc.value, ValueError)
+
+
+def assert_cell_matches_scalar(cell, params, inputs):
+    want = zeno_sample(params, inputs, cell.sample.z)
+    assert cell.sample.z == want.z
+    assert cell.sample.classification is want.classification
+    # rounding scale: |gamma|^2 plus the magnitudes of the cross terms
+    _, h2, h3, h4 = compute_coefficients(params, want.z).h
+    h2p = compute_h2_prime(params.gamma_nl, params.delta_k, want.z)
+    a, b, g = abs(inputs.alpha), abs(inputs.beta), abs(inputs.gamma)
+    scale = g * g + 2 * g * (
+        (abs(h2) + abs(h2p)) * b * b + abs(h3) * a * b + abs(h4) * a * a
+    )
+    for got, w in (
+        (cell.sample.n_b2, want.n_b2),
+        (cell.sample.n_b2_uncoupled, want.n_b2_uncoupled),
+        (cell.sample.delta_n_z, want.delta_n_z),
+    ):
+        assert abs(got - w) <= 1e-13 * scale
 
 
 class TestRunSweep:
@@ -161,12 +189,95 @@ class TestRunSweep:
             secondary_axis=AxisSpec(0.0, 0.002, 3),
         )
         first, *rest = run_sweep(spec).cells
-        assert first.sample is None and first.status == "degenerate"
+        assert first.sample is None and first.status == "invalid"
         assert "|gamma_nl|" in first.message
         for cell in rest:
             params = CouplerParams(k=0.1, gamma_nl=cell.secondary_value, delta_k=1e-4)
             want = zeno_sample(params, FIG2_INPUTS, 0.05 / cell.secondary_value)
             assert cell.status == "ok" and cell.sample == want
+
+    def test_invalid_and_degenerate_cells_told_apart(self):
+        # k = 0 breaks a precondition; 2|k| = 0.2 = dk sits on the resonance
+        spec = SweepSpec(
+            params=CouplerParams(k=0.3, gamma_nl=0.001, delta_k=0.2),
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.0, 0.1, 2),
+            secondary_name="k_magnitude",
+            secondary_axis=AxisSpec(0.0, 0.2, 3),
+        )
+        cells = run_sweep(spec).cells
+        assert [c.status for c in cells] == ["invalid"] * 2 + ["degenerate"] * 2 + ["ok"] * 2
+        assert "k must be nonzero" in cells[0].message
+        assert "resonance" in cells[2].message
+
+    def test_rows_match_scalar_cells(self, rng):
+        # Each row is one array evaluation; every cell must equal zeno_sample
+        # at its own z up to rounding, on the scale of the terms it sums.
+        rows = 0
+        while rows < 240:
+            p = random_params(rng)
+            name = SECONDARY_AXES[rows // 4 % len(SECONDARY_AXES)]
+            spec = SweepSpec(
+                params=p,
+                inputs=CoherentInputs(*(
+                    complex(rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+                    for _ in range(3)
+                )),
+                z_axis=AxisSpec(0.0, rng.uniform(0.01, 2.0), 7),
+                secondary_name=name,
+                secondary_axis={
+                    "delta_k": AxisSpec(0.0, 1.5 * abs(p.k), 4),
+                    "k_magnitude": AxisSpec(0.05, 1.0, 4),
+                    "phi": AxisSpec(0.0, 2 * np.pi, 4),
+                    "gamma_nl": AxisSpec(1e-4, 0.05, 4),
+                }[name],
+            )
+            for cell in run_sweep(spec).cells:
+                if cell.status != "ok":
+                    continue
+                params, inputs = _cell_parameters(spec, name, cell.secondary_value)
+                assert_cell_matches_scalar(cell, params, inputs)
+            rows += 4
+
+    def test_series_switch_inside_a_row(self):
+        # tiny dk: |dk z| crosses SERIES_SWITCH_PHASE inside every row, so a
+        # row mixes series and closed-form cells (z = 0 to 2000)
+        spec = SweepSpec(
+            params=FIG2_PARAMS,
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.0, 2.0, 41),
+            secondary_name="delta_k",
+            secondary_axis=AxisSpec(0.5e-9, 2e-9, 4),
+        )
+        cells = run_sweep(spec).cells
+        for cell in cells:
+            params, inputs = _cell_parameters(spec, "delta_k", cell.secondary_value)
+            assert_cell_matches_scalar(cell, params, inputs)
+        for si in range(4):
+            phases = [c.secondary_value * c.sample.z for c in cells if c.secondary_index == si]
+            assert min(phases) < SERIES_SWITCH_PHASE < max(phases)
+
+
+def pair_loop(cells, ns, nz):
+    """Reference bracket list: every adjacent pair of opposite signs, in
+    row-major order, the z neighbour first."""
+    grid = {(c.secondary_index, c.z_index): c for c in cells}
+
+    def opposite(a, b):
+        if a.sample is None or b.sample is None:
+            return False
+        pair = {a.sample.classification, b.sample.classification}
+        return pair == {Classification.ZENO, Classification.ANTI_ZENO}
+
+    brackets = []
+    for si in range(ns):
+        for zi in range(nz):
+            cell = grid[si, zi]
+            if zi + 1 < nz and opposite(cell, grid[si, zi + 1]):
+                brackets.append((cell, grid[si, zi + 1]))
+            if si + 1 < ns and opposite(cell, grid[si + 1, zi]):
+                brackets.append((cell, grid[si + 1, zi]))
+    return brackets
 
 
 class TestFindTransitions:
@@ -198,6 +309,35 @@ class TestFindTransitions:
         result = run_sweep(simple_spec(count=1))
         with pytest.raises(ValueError):
             find_transitions(result)
+
+    def test_too_few_samples_is_typed_error(self):
+        with pytest.raises(ZenoCouplerError):
+            find_transitions(run_sweep(simple_spec(count=1)))
+
+    def test_matches_pair_loop_on_random_grids(self, rng):
+        kinds = [Classification.ZENO, Classification.ANTI_ZENO, Classification.NULL, None]
+        for _ in range(200):
+            ns, nz = (int(n) for n in rng.integers(1, 7, size=2))
+            if ns * nz < 2:
+                continue
+            spec = SweepSpec(
+                params=FIG2_PARAMS,
+                inputs=FIG2_INPUTS,
+                z_axis=AxisSpec(0.0, 0.1, nz),
+                secondary_name="phi",
+                secondary_axis=AxisSpec(0.0, 1.0, ns),
+            )
+            cells = []
+            for si in range(ns):
+                for zi in range(nz):
+                    kind = kinds[rng.integers(len(kinds))]
+                    sample = None if kind is None else ZenoSample(0.0, 0.0, 0.0, 0.0, kind)
+                    status = "ok" if kind is not None else "degenerate"
+                    cells.append(SweepCell(si, zi, None, 0.0, sample, status))
+            # the cell list need not be in grid order
+            shuffled = [cells[i] for i in rng.permutation(len(cells))]
+            result = SweepResult(spec=spec, cells=shuffled)
+            assert find_transitions(result) == pair_loop(cells, ns, nz)
 
 
 class TestValidateAgainstOracle:
