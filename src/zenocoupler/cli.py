@@ -24,7 +24,7 @@ import numpy as np
 from . import observables
 from .coefficients import compute_coefficients, compute_h2_prime
 from .errors import DegenerateParameters, ExcessiveTruncationLoss, NonConvergence
-from .fock import TruncationSpec, mode_expectations, oracle_zeno_parameter, propagate
+from .fock import TruncationSpec, oracle_zeno_parameter, propagate
 from .observables import mode_means, zeno_parameter, zeno_sample
 from .params import CoherentInputs, CouplerParams
 from .sweep import (
@@ -293,6 +293,10 @@ def cmd_sweep(args) -> int:
         if c.sample is None:
             rows.append([axis_name, c.secondary_value if c.secondary_value is not None else "",
                          "", c.gamma_z, "", "", "", "", c.status])
+            # the reason goes to stderr: the CSV's columns are fixed
+            where = f"{axis_name}={_fmt(c.secondary_value)}, " if axis_name else ""
+            print(f"{c.status} cell {where}gamma_z={_fmt(c.gamma_z)}: {c.message}",
+                  file=sys.stderr)
         else:
             s = c.sample
             rows.append([axis_name, c.secondary_value if c.secondary_value is not None else "",
@@ -312,7 +316,7 @@ def cmd_oracle(args) -> int:
     rows = []
     for z in cfg.z_values(default_gamma_z="0.05"):
         report = propagate(params, inputs, float(z), cfg.cutoffs)
-        na, n1, n2 = mode_expectations(report.final_state)
+        na, n1, n2 = report.expectations
         rows.append([float(z), g * float(z), na, n1, n2,
                      report.conservation_drift, report.norm_drift,
                      report.steps_used, "ok"])

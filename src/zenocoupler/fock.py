@@ -8,15 +8,24 @@ z-ordered exponential of +i G(z)/hbar with
 The sign convention reproduces the closed-form linear-coupler solution
 (f1, f2) in the gamma_nl = 0 limit.  G(z) depends on z only through the
 phase exp(i dk z), which the frame psi = exp(i dk z N_b2) phi removes: phi
-evolves under the constant generator G(0) - dk N_b2.  One exponential of
-that generator, acting on the state through a substepped Taylor sum (the
+evolves under the constant generator A = G(0) - dk N_b2.  One exponential
+of A followed by the diagonal frame phase is therefore exact up to
+rounding, with no step size or tolerance to choose.
+
+The exponential acts on the state through a substepped Taylor sum (the
 action of the matrix exponential; Al-Mohy & Higham, SIAM J. Sci. Comput.
-33 (2011) 488), followed by the diagonal frame phase, is therefore exact
-up to rounding, with no step size or tolerance to choose.
+33 (2011) 488).  A is applied as one gather and one row sum over the
+ladder table of `kernels`, with the couplings and the Taylor factor
+i dz/s multiplied into the table once per propagation.  rho_total, the
+largest absolute row sum of A dz, bounds its 2-norm (A is Hermitian);
+the s = ceil(rho_total / theta) substeps each have norm rho <= theta, and
+a substep's sum stops once (e^rho - 1) * ||term||, a bound on all the
+terms not yet added, is at most 1e-16 * ||sum||.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,19 +33,27 @@ import numpy as np
 
 from .errors import ExcessiveTruncationLoss, InvalidParameters, NonConvergence
 from .kernels import apply_generator as _apply_kernel
+from .kernels import generator_table, term_coefficients
 from .params import CoherentInputs, CouplerParams, check_length
 
 # Per-mode probability mass that may be lost to truncation before the
 # state (or a propagation) is rejected as unreliable.
 TRUNCATION_LOSS_LIMIT = 1e-6
 
-# Relative size at which a Taylor term is considered converged; the terms
-# decay factorially once the substep norm is <= 1, so the tail is of the
-# same order as the last kept term.
-_TAYLOR_TERM_TOL = 1e-16
+# Largest norm bound theta of one Taylor substep.  Longer substeps need
+# fewer matvecs in all, but a substep's terms can peak near
+# theta^theta / theta! times the state (11x at 4, 416x at 8), and their
+# rounding with them; past 4 the oracle benchmark's rounds ran no faster.
+_TAYLOR_SUBSTEP_NORM = 4.0
+# Bound on the Taylor tail left out of a substep, relative to its sum.
+_TAYLOR_TAIL_TOL = 1e-16
 _TAYLOR_MAX_TERMS = 300
 
-# Largest basis a TruncationSpec may span (64 MB per complex state vector).
+# Largest basis a TruncationSpec may span.  A propagation peaks at about
+# 300 B per basis state: the ladder table (5 int64 columns and 5 float
+# magnitudes, 80 B, cached for the last 4 truncations used), its complex
+# values and the gathered amplitudes of one matvec (80 B each), and a few
+# complex state vectors (16 B each); about 1.2 GB at the limit.
 MAX_BASIS_DIMENSION = 4_000_000
 
 
@@ -86,30 +103,28 @@ class PropagationReport:
     steps_used: int  # Taylor substeps of the exponential; 1 at z = 0
     norm_drift: float
     conservation_drift: float
+    # (<N_a>, <N_b1>, <N_b2>) of final_state, as mode_expectations gives them
+    expectations: tuple[float, float, float]
 
 
 class _Workspace:
-    """Precomputed occupation tables for one truncation."""
+    """Ladder table and occupation grids of one truncation (read-only)."""
 
     def __init__(self, truncation: TruncationSpec):
         da, d1, d2 = truncation.shape
-        self.shape = (da, d1, d2)
-        self.sa = np.sqrt(np.arange(da, dtype=float))
-        self.s1 = np.sqrt(np.arange(d1, dtype=float))
-        self.s2 = np.sqrt(np.arange(d2, dtype=float))
-        j = np.arange(d1, dtype=float)
-        self.w1 = np.sqrt((j + 1.0) * (j + 2.0))
+        self.cols, self.mags = generator_table(truncation.shape)
         na, n1, n2 = np.ogrid[0:da, 0:d1, 0:d2]
         self.number_a = na.astype(float)
         self.number_b1 = n1.astype(float)
         self.number_b2 = n2.astype(float)
+        for table in (self.cols, self.mags, self.number_a, self.number_b1,
+                      self.number_b2):
+            table.flags.writeable = False
 
-    def norm_bound(self, k: complex, gamma_nl: complex, delta_k: float) -> float:
-        """Upper bound on the operator norm of G(0)/hbar - dk N_b2."""
-        da, d1, d2 = self.shape
-        lin = 2.0 * abs(k) * math.sqrt((da - 1) * d1)
-        nl = 2.0 * abs(gamma_nl) * self.w1[-1] * math.sqrt(d2 - 1)
-        return lin + nl + abs(delta_k) * (d2 - 1)
+
+@functools.lru_cache(maxsize=4)
+def _workspace(truncation: TruncationSpec) -> _Workspace:
+    return _Workspace(truncation)
 
 
 def _coherent_amplitudes(mu: complex, n_max: int) -> tuple[np.ndarray, float]:
@@ -150,11 +165,12 @@ def apply_generator(
     params: CouplerParams, z: float, state: FockStateVector
 ) -> FockStateVector:
     """Return (G(z)/hbar) applied to the state (not normalized)."""
-    ws = _Workspace(state.truncation)
-    x = np.ascontiguousarray(state.grid())
+    ws = _workspace(state.truncation)
+    x = np.ascontiguousarray(state.grid(), dtype=complex)
     out = np.empty_like(x)
     neg_g = -complex(params.gamma_nl) * np.exp(1j * params.delta_k * z)
-    _apply_kernel(x, out, -complex(params.k), neg_g, ws.sa, ws.s1, ws.s2, ws.w1)
+    vals = ws.mags * term_coefficients(0.0, -complex(params.k), neg_g)
+    _apply_kernel(x, out, ws.cols, vals)
     return FockStateVector(
         amplitudes=out.ravel(), truncation=state.truncation, norm_deficit=0.0
     )
@@ -163,28 +179,27 @@ def apply_generator(
 def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
     """psi <- exp(i dz (G(0)/hbar - dk N_b2)) psi in place via a substepped
     Taylor sum; returns the number of substeps."""
-    substeps = max(1, math.ceil(abs(dz) * ws.norm_bound(k, gamma_nl, delta_k)))
-    factor = 1j * dz / substeps
-    neg_k, neg_g = -complex(k), -complex(gamma_nl)
-    shift = delta_k * ws.number_b2
+    coeffs = term_coefficients(-delta_k, -complex(k), -complex(gamma_nl))
+    # largest absolute row sum of the Hermitian generator times |dz|
+    rho_total = abs(dz) * float(np.max(ws.mags @ np.abs(coeffs)))
+    substeps = max(1, math.ceil(rho_total / _TAYLOR_SUBSTEP_NORM))
+    # (e^rho - 1) ||term|| bounds every term after `term`
+    tail_sq = math.expm1(rho_total / substeps) ** 2
+    tol_sq = _TAYLOR_TAIL_TOL**2
+    vals = ws.mags * (coeffs * (1j * dz / substeps))
     term = np.empty_like(psi)
     scratch = np.empty_like(psi)
     for _ in range(substeps):
-        total = psi.copy()
         np.copyto(term, psi)
         for order in range(1, _TAYLOR_MAX_TERMS + 1):
-            _apply_kernel(term, scratch, neg_k, neg_g, ws.sa, ws.s1, ws.s2, ws.w1)
-            scratch -= shift * term
+            _apply_kernel(term, scratch, ws.cols, vals)
             term, scratch = scratch, term
-            term *= factor / order
-            total += term
-            if np.linalg.norm(term.ravel()) <= _TAYLOR_TERM_TOL * np.linalg.norm(
-                total.ravel()
-            ):
+            term *= 1.0 / order
+            psi += term
+            if tail_sq * np.vdot(term, term).real <= tol_sq * np.vdot(psi, psi).real:
                 break
         else:
             raise NonConvergence("Taylor exponential did not converge")
-        np.copyto(psi, total)
     return substeps
 
 
@@ -212,13 +227,14 @@ def _propagate_raw(
 ) -> PropagationReport:
     check_length(z_final)
     state0 = build_coherent_state(inputs, truncation)
-    ws = _Workspace(truncation)
+    ws = _workspace(truncation)
     psi = state0.grid().copy()
     n0 = _expectations(ws, psi)
 
     if z_final == 0:
         return PropagationReport(
-            final_state=state0, steps_used=1, norm_drift=0.0, conservation_drift=0.0
+            final_state=state0, steps_used=1, norm_drift=0.0,
+            conservation_drift=0.0, expectations=n0,
         )
 
     substeps = _expm_step(ws, k, gamma_nl, delta_k, z_final, psi)
@@ -240,6 +256,7 @@ def _propagate_raw(
         steps_used=substeps,
         norm_drift=abs(float(np.linalg.norm(psi.ravel())) - 1.0),
         conservation_drift=abs((na + n1 + 2 * n2) - (na0 + n10 + 2 * n20)),
+        expectations=(na, n1, n2),
     )
 
 
@@ -257,8 +274,7 @@ def propagate(
 
 def mode_expectations(state: FockStateVector) -> tuple[float, float, float]:
     """(<N_a>, <N_b1>, <N_b2>) of a Fock state vector."""
-    ws = _Workspace(state.truncation)
-    return _expectations(ws, state.grid())
+    return _expectations(_workspace(state.truncation), state.grid())
 
 
 def oracle_zeno_parameter(
@@ -276,4 +292,4 @@ def oracle_zeno_parameter(
     ref = _propagate_raw(
         0.0, params.gamma_nl, params.delta_k, ref_inputs, z_final, truncation
     )
-    return mode_expectations(full.final_state)[2] - mode_expectations(ref.final_state)[2]
+    return full.expectations[2] - ref.expectations[2]

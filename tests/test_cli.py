@@ -183,7 +183,7 @@ class TestCmdSweep:
         _, rows = parse_table(out)
         assert [r["status"] for r in rows] == ["invalid", "invalid", "ok", "ok"]
 
-    def test_custom_axis(self):
+    def test_custom_axis(self, capsys):
         code, out = run_cli(
             ["sweep", "--gamma-z", "0.01:0.05:3", "--axis", "phi:0:3.14159:2"]
         )
@@ -191,6 +191,18 @@ class TestCmdSweep:
         _, rows = parse_table(out)
         assert len(rows) == 6
         assert rows[0]["axis_name"] == "phi"
+        assert capsys.readouterr().err == ""
+
+    def test_failed_cells_say_why_on_stderr(self, capsys):
+        code, out = run_cli(["sweep", "--gamma-z", "0:0.1:2", "--axis", "k_magnitude:0:0.3:2"])
+        assert code == 0
+        header, _ = parse_table(out)
+        assert header[-3:] == ["delta_n_z", "classification", "status"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line, gz in zip(err, ("0", "0.1")):
+            assert line.startswith(f"invalid cell k_magnitude=0, gamma_z={gz}: ")
+            assert "k must be nonzero" in line
 
 
 class TestCmdOracle:

@@ -18,13 +18,57 @@ from zenocoupler import (
     propagate,
     zeno_parameter,
 )
-from zenocoupler import fock
+import zenocoupler
+from zenocoupler import fock, kernels
 
 FIG2_PARAMS = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=1e-4)
 SMALL_INPUTS = CoherentInputs(alpha=1.0, beta=1.0, gamma=0.5)
 
 # Poisson tail beyond n=10 for |mu|=1: 1 - sum_{n<=10} e^-1/n!
 TAIL_ALPHA1_CUT10 = 1.00477663757e-8
+
+# Cutoff shapes for the table tests: cutoff 1 in each mode, and n_b1_max < 2,
+# where neither b1^2 term fits in the basis.
+TABLE_CUTOFFS = [(1, 1, 1), (1, 4, 1), (3, 1, 2), (2, 2, 3), (4, 5, 3), (5, 6, 4)]
+
+
+def _ladder(n_max):
+    """Truncated annihilation operator on 0..n_max."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+
+
+def _kron_generator(cutoffs, k, g, dk):
+    """Dense -k a b1^ - g b1^2 b2^ + H.c. - dk N_b2 from truncated ladder
+    matrices, independent of the kernels table."""
+    a, b1, b2 = (_ladder(n) for n in cutoffs)
+    ia, i1, i2 = (np.eye(n + 1) for n in cutoffs)
+    a_b1d = np.kron(np.kron(a, b1.T), i2)
+    b1sq_b2d = np.kron(np.kron(ia, b1 @ b1), b2.T)
+    n_b2 = np.kron(np.kron(ia, i1), b2.T @ b2)
+    gen = -k * a_b1d - g * b1sq_b2d
+    return gen + gen.conj().T - dk * n_b2
+
+
+def _table_generator(cutoffs, k, g, dk):
+    """The kernels table of G(0) - dk N_b2 as a dense matrix."""
+    ws = fock._workspace(TruncationSpec(*cutoffs))
+    vals = ws.mags * kernels.term_coefficients(-dk, -k, -g)
+    dim = len(vals)
+    dense = np.zeros((dim, dim), dtype=complex)
+    np.add.at(dense, (np.repeat(np.arange(dim), vals.shape[1]), ws.cols.ravel()),
+              vals.ravel())
+    return dense
+
+
+def _random_couplings(rng):
+    k = complex(rng.normal(), rng.normal())
+    g = complex(rng.normal(), rng.normal())
+    return k, g, float(rng.normal())
+
+
+def _random_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
 
 
 class TestTruncationSpec:
@@ -99,6 +143,57 @@ class TestApplyGenerator:
             assert abs(expval.imag) < 1e-12
 
 
+class TestGeneratorTable:
+    @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS)
+    def test_matches_ladder_matrices(self, rng, cutoffs):
+        for _ in range(5):
+            k, g, dk = _random_couplings(rng)
+            want = _kron_generator(cutoffs, k, g, dk)
+            assert np.max(np.abs(_table_generator(cutoffs, k, g, dk) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS)
+    def test_apply_generator_matches_ladder_matrices(self, rng, cutoffs):
+        trunc = TruncationSpec(*cutoffs)
+        for _ in range(5):
+            k, g, dk = _random_couplings(rng)
+            z = rng.uniform(0, 20)
+            params = CouplerParams(k=k, gamma_nl=g, delta_k=dk)
+            psi = _random_state(rng, trunc.dimension)
+            got = apply_generator(params, z, FockStateVector(psi, trunc)).amplitudes
+            want = _kron_generator(cutoffs, k, g * np.exp(1j * dk * z), 0.0) @ psi
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS)
+    def test_hermitian(self, rng, cutoffs):
+        for _ in range(5):
+            dense = _table_generator(cutoffs, *_random_couplings(rng))
+            assert np.max(np.abs(dense - dense.conj().T)) <= 1e-15
+
+
+class TestKernelBinding:
+    # perfbench/run.py prints the module of fock._apply_kernel and
+    # KERNEL_BACKEND, and its tracer reads the grid shape from the kernel's
+    # first argument.
+    def test_fock_calls_the_kernels_module(self):
+        assert fock._apply_kernel is kernels.apply_generator
+        assert zenocoupler.KERNEL_BACKEND == kernels.KERNEL_BACKEND
+
+    def test_first_argument_is_the_amplitude_grid(self, monkeypatch):
+        shapes = []
+
+        def spy(*args):
+            shapes.append(args[0].shape)
+            return kernels.apply_generator(*args)
+
+        monkeypatch.setattr(fock, "_apply_kernel", spy)
+        trunc = TruncationSpec(6, 5, 4)
+        propagate(FIG2_PARAMS, CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2), 20.0, trunc)
+        state = build_coherent_state(SMALL_INPUTS, TruncationSpec(10, 10, 6))
+        apply_generator(FIG2_PARAMS, 1.0, state)
+        assert len(shapes) > 1
+        assert set(shapes[:-1]) == {trunc.shape} and shapes[-1] == (11, 11, 7)
+
+
 class TestPropagate:
     def test_zero_length(self):
         trunc = TruncationSpec(10, 10, 6)
@@ -148,13 +243,38 @@ class TestPropagate:
         got = propagate(p, inputs, z, trunc).final_state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_random_points_against_dense_reference(self, rng):
+        # eigh of the independent ladder-matrix generator; dz up to 100 puts
+        # the norm bound rho_total far above one substep's theta.
+        most_substeps = 0
+        for i in range(20):
+            cutoffs = TABLE_CUTOFFS[i % len(TABLE_CUTOFFS)]
+            trunc = TruncationSpec(*cutoffs)
+            k, g, dk = _random_couplings(rng)
+            dz = float(rng.uniform(0.0, 100.0)) if i % 2 else float(rng.uniform(0.0, 1.0))
+            w, v = np.linalg.eigh(_kron_generator(cutoffs, k, g, dk))
+            psi0 = _random_state(rng, trunc.dimension)
+            want = v @ (np.exp(1j * dz * w) * (v.conj().T @ psi0))
+            psi = psi0.reshape(trunc.shape).copy()
+            substeps = fock._expm_step(fock._workspace(trunc), k, g, dk, dz, psi)
+            most_substeps = max(most_substeps, substeps)
+            assert np.max(np.abs(psi.ravel() - want)) <= 1e-12
+        assert most_substeps >= 50
+
+    def test_expectations_carried_on_the_report(self):
+        trunc = TruncationSpec(10, 10, 6)
+        for z in (0.0, 50.0):
+            r = propagate(FIG2_PARAMS, SMALL_INPUTS, z, trunc)
+            assert r.expectations == mode_expectations(r.final_state)
+
     @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
     def test_invalid_length_rejected(self, z):
         with pytest.raises(InvalidParameters):
             propagate(FIG2_PARAMS, SMALL_INPUTS, z, TruncationSpec(8, 8, 5))
 
     def test_nonconvergence_raises(self, monkeypatch):
-        # Two Taylor terms cannot reach the term tolerance at substep norm ~1.
+        # Two Taylor terms cannot bring the tail bound to 1e-16 at a
+        # substep norm bound near theta.
         monkeypatch.setattr(fock, "_TAYLOR_MAX_TERMS", 2)
         trunc = TruncationSpec(10, 10, 6)
         with pytest.raises(NonConvergence):
