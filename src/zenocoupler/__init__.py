@@ -11,7 +11,6 @@ from .coefficients import (
     ModeCoefficients,
     compute_coefficients,
     compute_h2_prime,
-    g_pm,
 )
 from .errors import (
     DegenerateParameters,
@@ -25,7 +24,6 @@ from .fock import (
     FockStateVector,
     PropagationReport,
     TruncationSpec,
-    apply_generator,
     build_coherent_state,
     mode_expectations,
     oracle_zeno_parameter,
@@ -78,13 +76,11 @@ __all__ = [
     "TruncationSpec",
     "ZenoCouplerError",
     "ZenoSample",
-    "apply_generator",
     "build_coherent_state",
     "classify",
     "compute_coefficients",
     "compute_h2_prime",
     "find_transitions",
-    "g_pm",
     "mean_photon_b2",
     "mean_photon_b2_uncoupled",
     "mode_expectations",

@@ -8,7 +8,7 @@ operators as combinations of the z=0 operators:
     b2(z) = h1 b2 + h2 b1^2 + h3 b1 a + h4 a^2
 
 with G+- = 1 +- exp(-i dk z).  Every division by dk has a finite dk -> 0
-limit; those quotients are routed through series helpers below the switch
+limit; those quotients are routed through a series below the switch
 threshold to avoid catastrophic cancellation.
 
 `compute_coefficients` and `compute_h2_prime` take z as a float or as a
@@ -45,12 +45,6 @@ class ModeCoefficients:
     h: tuple[complex, complex, complex, complex]
 
 
-def g_pm(delta_k: float, z: float) -> tuple[complex, complex]:
-    """Return (G-, G+) = (1 - exp(-i dk z), 1 + exp(-i dk z))."""
-    e = cmath.exp(-1j * delta_k * z)
-    return 1.0 - e, 1.0 + e
-
-
 def _use_series(delta_k: float, z, k_mag: float):
     """Whether the dk-division terms take their series: a bool for a float
     z, False or a bool array for an array z."""
@@ -58,11 +52,6 @@ def _use_series(delta_k: float, z, k_mag: float):
         abs(delta_k) < SERIES_SWITCH_RATIO * k_mag
         and abs(delta_k * z) < SERIES_SWITCH_PHASE
     )
-
-
-def _series_gm_over_dk(delta_k: float, z):
-    """Series of (1 - exp(-i dk z)) / dk about dk = 0 (limit i z)."""
-    return 1j * z + delta_k * z**2 / 2.0 - 1j * delta_k**2 * z**3 / 6.0
 
 
 def _series_gmc_over_dk(delta_k: float, z):
@@ -115,11 +104,13 @@ def _coefficients(params: CouplerParams, z, ops) -> ModeCoefficients:
     series = _use_series(dk, z, ak)
     exp_m = exp(-1j * dk * z)
     # h coefficients use the conjugates G-* and (G+* - 1) = exp(+i dk z).
+    # dk is real, so G-/dk is the conjugate of G-*/dk (up to the sign of a
+    # zero imaginary part at z = 0).
     exp_p = exp_m.conjugate()
     gm = 1.0 - exp_m
     gp = 1.0 + exp_m
-    gm_dk = over_dk(_series_gm_over_dk, gm, dk, z, series)
     gmc_dk = over_dk(_series_gmc_over_dk, 1.0 - exp_p, dk, z, series)
+    gm_dk = gmc_dk.conjugate()
 
     f1 = cos(ak * z) + 0j
     f2 = -1j * kc / ak * sin(ak * z)

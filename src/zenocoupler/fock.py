@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ExcessiveTruncationLoss, InvalidParameters, NonConvergence
 from .kernels import apply_generator as _apply_kernel
 from .kernels import generator_table, term_coefficients
-from .params import CoherentInputs, CouplerParams, check_length
+from .params import CoherentInputs, CouplerParams, check_count, check_length
 
 # Per-mode probability mass that may be lost to truncation before the
 # state (or a propagation) is rejected as unreliable.
@@ -66,8 +66,8 @@ class TruncationSpec:
     n_b2_max: int
 
     def __post_init__(self):
-        if min(self.n_a_max, self.n_b1_max, self.n_b2_max) < 1:
-            raise InvalidParameters("every cutoff must be >= 1")
+        for cutoff in (self.n_a_max, self.n_b1_max, self.n_b2_max):
+            check_count(cutoff, "every cutoff", 1)
         if self.dimension > MAX_BASIS_DIMENSION:
             raise InvalidParameters(
                 f"basis dimension {self.dimension} exceeds the memory guard "
@@ -158,21 +158,6 @@ def build_coherent_state(
     psi /= np.linalg.norm(psi)
     return FockStateVector(
         amplitudes=psi, truncation=truncation, norm_deficit=1.0 - kept_mass
-    )
-
-
-def apply_generator(
-    params: CouplerParams, z: float, state: FockStateVector
-) -> FockStateVector:
-    """Return (G(z)/hbar) applied to the state (not normalized)."""
-    ws = _workspace(state.truncation)
-    x = np.ascontiguousarray(state.grid(), dtype=complex)
-    out = np.empty_like(x)
-    neg_g = -complex(params.gamma_nl) * np.exp(1j * params.delta_k * z)
-    vals = ws.mags * term_coefficients(0.0, -complex(params.k), neg_g)
-    _apply_kernel(x, out, ws.cols, vals)
-    return FockStateVector(
-        amplitudes=out.ravel(), truncation=state.truncation, norm_deficit=0.0
     )
 
 
@@ -277,6 +262,24 @@ def mode_expectations(state: FockStateVector) -> tuple[float, float, float]:
     return _expectations(_workspace(state.truncation), state.grid())
 
 
+def _oracle_pair(
+    params: CouplerParams,
+    inputs: CoherentInputs,
+    z_final: float,
+    truncation: TruncationSpec,
+) -> tuple[PropagationReport, PropagationReport]:
+    """Reports of the full system and of its probe-free reference (k=0,
+    alpha=0), whose <N_b2> difference is the exact Zeno parameter."""
+    full = _propagate_raw(
+        params.k, params.gamma_nl, params.delta_k, inputs, z_final, truncation
+    )
+    ref_inputs = CoherentInputs(alpha=0.0, beta=inputs.beta, gamma=inputs.gamma)
+    ref = _propagate_raw(
+        0.0, params.gamma_nl, params.delta_k, ref_inputs, z_final, truncation
+    )
+    return full, ref
+
+
 def oracle_zeno_parameter(
     params: CouplerParams,
     inputs: CoherentInputs,
@@ -285,11 +288,5 @@ def oracle_zeno_parameter(
 ) -> float:
     """Exact Zeno parameter: <N_b2> difference between the full system and
     the probe-free reference (k=0, alpha=0)."""
-    full = _propagate_raw(
-        params.k, params.gamma_nl, params.delta_k, inputs, z_final, truncation
-    )
-    ref_inputs = CoherentInputs(alpha=0.0, beta=inputs.beta, gamma=inputs.gamma)
-    ref = _propagate_raw(
-        0.0, params.gamma_nl, params.delta_k, ref_inputs, z_final, truncation
-    )
+    full, ref = _oracle_pair(params, inputs, z_final, truncation)
     return full.expectations[2] - ref.expectations[2]

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +19,16 @@ from .errors import DegenerateParameters, InvalidParameters
 # 2|k| = |dk| resonance, where the coefficient denominators vanish.
 DEGENERACY_THRESHOLD = 1e-9
 
-# |gamma_nl| / |k| above this is outside the weak-nonlinearity regime the
-# perturbative solution assumes; flagged, not rejected.
-PERTURBATIVITY_RATIO = 0.1
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise InvalidParameters unless value is an integer (a numpy integer
+    too, but not a float) of at least minimum."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidParameters(f"{name} must be an integer, got {value!r}") from None
+    if n < minimum:
+        raise InvalidParameters(f"{name} must be >= {minimum}, got {n}")
 
 
 def check_length(z) -> None:
@@ -47,7 +55,6 @@ class CouplerParams:
     k: complex
     gamma_nl: complex
     delta_k: float
-    perturbativity_warning: bool = field(init=False, default=False)
 
     def __post_init__(self):
         k = complex(self.k)
@@ -70,8 +77,6 @@ class CouplerParams:
                 f"|4|k|^2 - dk^2| = {denom:.3e} < "
                 f"{DEGENERACY_THRESHOLD:.1e} * |k|^2"
             )
-        if abs(complex(self.gamma_nl)) > PERTURBATIVITY_RATIO * abs(k):
-            object.__setattr__(self, "perturbativity_warning", True)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .observables import (
     classify,
     zeno_parameter,
 )
-from .params import CoherentInputs, CouplerParams
+from .params import CoherentInputs, CouplerParams, check_count
 
 SECONDARY_AXES = ("delta_k", "k_magnitude", "phi", "gamma_nl")
 
@@ -55,8 +55,7 @@ class AxisSpec:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidParameters("axis count must be >= 1")
+        check_count(self.count, "axis count", 1)
         if not -math.inf < self.min <= self.max < math.inf:
             raise InvalidParameters("axis needs finite min <= max")
 
@@ -75,7 +74,7 @@ class SweepSpec:
     secondary_name: str | None = None
     secondary_axis: AxisSpec | None = None
     classification_tol: float = DEFAULT_CLASSIFICATION_TOL
-    label: str = ""
+    label: str = ""  # a caller-set description; the package does not read it
 
     def __post_init__(self):
         if (self.secondary_name is None) != (self.secondary_axis is None):
@@ -125,8 +124,8 @@ def _cell_parameters(spec: SweepSpec, name: str | None, value: float | None):
     if name == "delta_k":
         params = dc_replace(params, delta_k=float(value))
     elif name == "k_magnitude":
-        k = complex(params.k)
-        phase = cmath.exp(1j * cmath.phase(k)) if k != 0 else 1.0
+        # no k = 0 guard, unlike gamma_nl below: a CouplerParams has k != 0
+        phase = cmath.exp(1j * cmath.phase(complex(params.k)))
         params = dc_replace(params, k=float(value) * phase)
     elif name == "gamma_nl":
         g = complex(params.gamma_nl)
@@ -227,6 +226,7 @@ def validate_against_oracle(
         or abs(complex(spec.inputs.gamma)) > ORACLE_AMPLITUDE_LIMIT
     ):
         raise InvalidParameters("oracle validation needs |alpha|, |beta|, |gamma| <= 2")
+    check_count(sample_count, "sample_count", 0)
     result = run_sweep(spec)
     ok_cells = [c for c in result.cells if c.status == "ok" and c.gamma_z > 0]
     rng = np.random.default_rng(ORACLE_SAMPLE_SEED)
@@ -259,8 +259,9 @@ def preset_sweep(name: str) -> SweepSpec:
     """Figure-reproduction presets.
 
     Axis extents are implementation choices (the source figures label no
-    numeric ranges); they are chosen to exhibit the captioned behavior and
-    are echoed in the sweep metadata.
+    numeric ranges); they are chosen to exhibit the captioned behavior.
+    Each spec's `label` names its figure; it is set for callers and read
+    by nothing in the package.
     """
     base_inputs = CoherentInputs(alpha=5.0, beta=2.0, gamma=1.0)
     if name == "fig2":

@@ -1,10 +1,20 @@
 import io
 import math
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zenocoupler import (
+    CoherentInputs,
+    CouplerParams,
+    TruncationSpec,
+    oracle_zeno_parameter,
+    propagate,
+    zeno_parameter,
+)
+from zenocoupler import cli, fock
 from zenocoupler.cli import format_complex, main, parse_complex, parse_range
 
 
@@ -253,6 +263,7 @@ _UNREAD_FLAGS = [
             ("coeffs", "--alpha"), ("coeffs", "--beta"), ("coeffs", "--gamma"),
             ("coeffs", "--cutoffs"), ("zeno", "--cutoffs"), ("sweep", "--cutoffs"),
             ("validate", "--z"), ("validate", "--gamma-z"), ("validate", "--cutoffs"),
+            ("validate", "--debug-break-gamma-linearity"),
         ]
     ),
 ]
@@ -323,9 +334,57 @@ class TestCmdValidate:
         )
         assert 3.0 <= ratio <= 5.0
 
-    def test_injected_failure_exits_1(self):
-        code, out = run_cli(["validate", "--debug-break-gamma-linearity"])
+    def test_injected_failure_exits_1(self, monkeypatch):
+        # perturb f3 wherever gamma_nl is twice that of the previous call
+        # (the gamma-linearity pairs), so that only that check can fail
+        compute = cli.compute_coefficients
+        last = []
+
+        def broken(params, z):
+            c = compute(params, z)
+            doubled = bool(last) and params == replace(
+                last[-1], gamma_nl=2 * complex(last[-1].gamma_nl))
+            last.append(params)
+            if doubled:
+                c = replace(c, f=(c.f[0], c.f[1], c.f[2] * (1 + 1e-6), c.f[3]))
+            return c
+
+        monkeypatch.setattr(cli, "compute_coefficients", broken)
+        code, out = run_cli(["validate"])
         assert code == 1
         _, rows = parse_table(out)
         failed = [r for r in rows if r["status"] == "FAIL"]
         assert [r["check"] for r in failed] == ["gamma_linearity"]
+
+    def test_four_oracle_propagations(self, monkeypatch):
+        # the gamma_nl = 1e-3 drift rows come from the same full-system run
+        # as its Zeno parameter: two (full, reference) pairs in all
+        calls = []
+        raw = fock._propagate_raw
+
+        def spy(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(fock, "_propagate_raw", spy)
+        code, out = run_cli(["validate"])
+        assert code == 0 and len(calls) == 4
+        monkeypatch.undo()
+
+        # each oracle row as the separate propagate / oracle_zeno_parameter
+        # calls give it
+        _, rows = parse_table(out)
+        measured = {r["check"]: r["measured"] for r in rows}
+        small = CoherentInputs(alpha=1.0, beta=1.0, gamma=0.5)
+        trunc = TruncationSpec(10, 10, 6)
+        diffs = []
+        for g_nl in (1e-3, 5e-4):
+            p = CouplerParams(k=0.1, gamma_nl=g_nl, delta_k=1e-4)
+            exact = oracle_zeno_parameter(p, small, 50.0, trunc)
+            diffs.append(abs(exact - zeno_parameter(p, small, 50.0)))
+        report = propagate(CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=1e-4),
+                           small, 50.0, trunc)
+        assert measured["oracle_norm_drift"] == cli._fmt(report.norm_drift)
+        assert measured["oracle_conservation_drift"] == cli._fmt(
+            report.conservation_drift)
+        assert measured["oracle_gamma2_contraction"] == cli._fmt(diffs[0] / diffs[1])

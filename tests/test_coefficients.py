@@ -10,7 +10,6 @@ from zenocoupler import (
     InvalidParameters,
     compute_coefficients,
     compute_h2_prime,
-    g_pm,
 )
 from zenocoupler.coefficients import SERIES_SWITCH_PHASE
 
@@ -36,26 +35,6 @@ COEFFS_FIG2_Z100 = {
 }
 
 
-class TestGPm:
-    def test_zero_length(self):
-        gm, gp = g_pm(0.5, 0.0)
-        assert gm == 0 and gp == 2
-
-    def test_zero_mismatch(self):
-        gm, gp = g_pm(0.0, 7.3)
-        assert gm == 0 and gp == 2
-
-    def test_finite_phase(self):
-        # 1 -+ exp(-0.1i), frozen from direct high-precision evaluation
-        gm, gp = g_pm(1e-4, 1000.0)
-        assert gm == pytest.approx(
-            0.0049958347219742339 + 0.0998334166468281523j, abs=1e-16
-        )
-        assert gp == pytest.approx(
-            1.99500416527802577 - 0.0998334166468281523j, abs=1e-15
-        )
-
-
 class TestCouplerParams:
     def test_zero_k_rejected(self):
         with pytest.raises(InvalidParameters):
@@ -72,11 +51,6 @@ class TestCouplerParams:
 
     def test_near_resonance_passes_outside_threshold(self):
         CouplerParams(k=0.1, gamma_nl=0.001, delta_k=0.2001)
-
-    def test_perturbativity_flag(self):
-        assert not CouplerParams(**FIG2).perturbativity_warning
-        strong = CouplerParams(k=0.1, gamma_nl=0.02, delta_k=1e-4)
-        assert strong.perturbativity_warning
 
 
 class TestComputeCoefficients:

@@ -8,10 +8,8 @@ from zenocoupler import (
     CouplerParams,
     ExcessiveTruncationLoss,
     InvalidParameters,
-    FockStateVector,
     NonConvergence,
     TruncationSpec,
-    apply_generator,
     build_coherent_state,
     mode_expectations,
     oracle_zeno_parameter,
@@ -58,6 +56,15 @@ def _table_generator(cutoffs, k, g, dk):
     np.add.at(dense, (np.repeat(np.arange(dim), vals.shape[1]), ws.cols.ravel()),
               vals.ravel())
     return dense
+
+
+def _kernel_apply(trunc, k, g, dk, psi):
+    """kernels.apply_generator with the table of G(0) - dk N_b2 on the flat
+    state psi, as propagation applies it."""
+    ws = fock._workspace(trunc)
+    vals = ws.mags * kernels.term_coefficients(-dk, -k, -g)
+    x = psi.reshape(trunc.shape)
+    return kernels.apply_generator(x, np.empty_like(x), ws.cols, vals).ravel()
 
 
 def _random_couplings(rng):
@@ -121,26 +128,23 @@ class TestBuildCoherentState:
 
 class TestApplyGenerator:
     def test_vanishing_couplings(self):
-        s = build_coherent_state(SMALL_INPUTS, TruncationSpec(10, 10, 5))
-        params = CouplerParams(k=1e-12, gamma_nl=0.0, delta_k=0.0)
-        out = apply_generator(params, 1.0, s)
-        assert np.linalg.norm(out.amplitudes) < 1e-11
+        trunc = TruncationSpec(10, 10, 5)
+        s = build_coherent_state(SMALL_INPUTS, trunc)
+        out = _kernel_apply(trunc, 1e-12, 0.0, 0.0, s.amplitudes)
+        assert np.linalg.norm(out) < 1e-11
 
     def test_vacuum_annihilated(self):
-        s = build_coherent_state(CoherentInputs(), TruncationSpec(4, 4, 4))
-        out = apply_generator(FIG2_PARAMS, 2.0, s)
-        assert np.linalg.norm(out.amplitudes) == 0
+        trunc = TruncationSpec(4, 4, 4)
+        s = build_coherent_state(CoherentInputs(), trunc)
+        out = _kernel_apply(trunc, 0.1, 0.001, 1e-4, s.amplitudes)
+        assert np.linalg.norm(out) == 0
 
     def test_hermiticity(self, rng):
         trunc = TruncationSpec(5, 6, 4)
         for _ in range(100):
-            psi = rng.normal(size=trunc.dimension) + 1j * rng.normal(size=trunc.dimension)
-            psi /= np.linalg.norm(psi)
-            state = FockStateVector(amplitudes=psi, truncation=trunc)
-            z = rng.uniform(0, 100)
-            gpsi = apply_generator(FIG2_PARAMS, z, state)
-            expval = np.vdot(psi, gpsi.amplitudes)
-            assert abs(expval.imag) < 1e-12
+            psi = _random_state(rng, trunc.dimension)
+            gpsi = _kernel_apply(trunc, *_random_couplings(rng), psi)
+            assert abs(np.vdot(psi, gpsi).imag) < 1e-12
 
 
 class TestGeneratorTable:
@@ -156,12 +160,9 @@ class TestGeneratorTable:
         trunc = TruncationSpec(*cutoffs)
         for _ in range(5):
             k, g, dk = _random_couplings(rng)
-            z = rng.uniform(0, 20)
-            params = CouplerParams(k=k, gamma_nl=g, delta_k=dk)
             psi = _random_state(rng, trunc.dimension)
-            got = apply_generator(params, z, FockStateVector(psi, trunc)).amplitudes
-            want = _kron_generator(cutoffs, k, g * np.exp(1j * dk * z), 0.0) @ psi
-            assert np.max(np.abs(got - want)) <= 1e-13
+            want = _kron_generator(cutoffs, k, g, dk) @ psi
+            assert np.max(np.abs(_kernel_apply(trunc, k, g, dk, psi) - want)) <= 1e-13
 
     @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS)
     def test_hermitian(self, rng, cutoffs):
@@ -186,12 +187,11 @@ class TestKernelBinding:
             return kernels.apply_generator(*args)
 
         monkeypatch.setattr(fock, "_apply_kernel", spy)
-        trunc = TruncationSpec(6, 5, 4)
-        propagate(FIG2_PARAMS, CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2), 20.0, trunc)
-        state = build_coherent_state(SMALL_INPUTS, TruncationSpec(10, 10, 6))
-        apply_generator(FIG2_PARAMS, 1.0, state)
-        assert len(shapes) > 1
-        assert set(shapes[:-1]) == {trunc.shape} and shapes[-1] == (11, 11, 7)
+        inputs = CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2)
+        for trunc in (TruncationSpec(6, 5, 4), TruncationSpec(7, 6, 5)):
+            shapes.clear()
+            propagate(FIG2_PARAMS, inputs, 20.0, trunc)
+            assert len(shapes) > 1 and set(shapes) == {trunc.shape}
 
 
 class TestPropagate:
@@ -226,17 +226,11 @@ class TestPropagate:
         # frame generator G(0) - dk N_b2, then the frame phase.
         p = CouplerParams(k=0.1, gamma_nl=0.02, delta_k=0.15)
         inputs = CoherentInputs(alpha=0.3, beta=0.3 + 0.1j, gamma=0.2j)
-        trunc = TruncationSpec(6, 6, 4)
+        cutoffs = (6, 6, 4)
+        trunc = TruncationSpec(*cutoffs)
         z = 80.0
-        dim = trunc.dimension
-        columns = []
-        for j in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[j] = 1.0
-            state = FockStateVector(amplitudes=e, truncation=trunc)
-            columns.append(apply_generator(p, 0.0, state).amplitudes)
         n_b2 = np.indices(trunc.shape)[2].ravel().astype(float)
-        w, v = np.linalg.eigh(np.array(columns).T - p.delta_k * np.diag(n_b2))
+        w, v = np.linalg.eigh(_kron_generator(cutoffs, p.k, p.gamma_nl, p.delta_k))
         psi0 = build_coherent_state(inputs, trunc).amplitudes
         want = v @ (np.exp(1j * z * w) * (v.conj().T @ psi0))
         want *= np.exp(1j * p.delta_k * z * n_b2)

@@ -1,0 +1,75 @@
+"""The names the benchmark harness in perfbench/ reads from the package.
+
+perfbench/ is not collected by these tests and changes only with the
+benchmark, so a name pruned from the package would otherwise surface only
+when `perfbench/run.py` (or its `--trace 1` tracer) is next run.
+"""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+import zenocoupler as zc
+import zenocoupler.cli  # noqa: F401  (binds zc.cli, as perfbench/workloads.py does)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # imports only the standard library
+    return module
+
+
+def _traced_bindings():
+    tracing = _load_tracing()
+    for table in (tracing.TRACED, tracing.TRACED_CLASSES):
+        for modname, names in table.values():
+            for name in names:
+                yield modname, name
+
+
+def _source(name):
+    return (PERFBENCH / name).read_text(encoding="utf-8")
+
+
+def _package_reads():
+    """`zc.<name>` reads in the harness's workloads and runner."""
+    return sorted({name for f in ("workloads.py", "run.py")
+                   for name in re.findall(r"\bzc\.(\w+)", _source(f))})
+
+
+def _submodule_imports():
+    """(module, name) of each `from zenocoupler.<module> import ...` there."""
+    pairs = set()
+    for f in ("workloads.py", "run.py"):
+        for mod, names in re.findall(r"^from (zenocoupler\.\w+) import ([\w, ]+)$",
+                                     _source(f), flags=re.M):
+            pairs.update((mod, n.strip()) for n in names.split(","))
+    return sorted(pairs)
+
+
+def test_harness_sources_found():
+    # an empty parametrisation below would pass without checking anything
+    assert list(_traced_bindings()) and _package_reads() and _submodule_imports()
+
+
+@pytest.mark.parametrize("modname,name", list(_traced_bindings()))
+def test_traced_names_resolve(modname, name):
+    assert hasattr(importlib.import_module(modname), name)
+
+
+@pytest.mark.parametrize("name", _package_reads())
+def test_package_reads_resolve(name):
+    assert hasattr(zc, name)
+
+
+@pytest.mark.parametrize("modname,name", _submodule_imports())
+def test_submodule_imports_resolve(modname, name):
+    assert hasattr(importlib.import_module(modname), name)

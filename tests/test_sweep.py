@@ -79,11 +79,18 @@ class TestAxisSpec:
         lambda: validate_against_oracle(
             simple_spec(count=2), TruncationSpec(8, 8, 5), sample_count=1
         ),
+        lambda: TruncationSpec(7.5, 7, 5),
+        lambda: AxisSpec(0.0, 1.0, 2.5),
+        lambda: validate_against_oracle(
+            SweepSpec(FIG2_PARAMS, CoherentInputs(1.0, 1.0, 0.5), AxisSpec(0.0, 0.05, 2)),
+            TruncationSpec(7, 7, 5), sample_count=-1,
+        ),
     ],
     ids=[
         "axis-count", "axis-order", "axis-inf", "axis-nan", "sweep-half-axis",
         "sweep-axis-name", "sweep-zero-gamma-nl", "cutoff-floor", "memory-guard",
         "classify-tol", "classify-nan-tol", "preset-name", "oracle-amplitude",
+        "cutoff-float", "axis-count-float", "oracle-negative-sample-count",
     ],
 )
 def test_malformed_input_raises_typed_error(build):
@@ -91,6 +98,11 @@ def test_malformed_input_raises_typed_error(build):
         build()
     assert isinstance(exc.value, ZenoCouplerError)
     assert isinstance(exc.value, ValueError)
+
+
+def test_numpy_integer_counts_accepted():
+    assert AxisSpec(0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
+    assert TruncationSpec(*np.array([7, 7, 5])).dimension == 8 * 8 * 6
 
 
 def assert_cell_matches_scalar(cell, params, inputs):
