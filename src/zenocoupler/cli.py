@@ -121,13 +121,19 @@ def read_config(path: str) -> dict[str, str]:
 
 
 class _Setting(NamedTuple):
-    """How a setting is parsed from its text, its default text, its help,
-    and the subcommands that read it."""
+    """How a setting is parsed from its text, its default text (one for
+    every subcommand, or one per subcommand), its help, and the
+    subcommands that read it."""
 
     parse: Callable[[str], object]
-    default: str | None
+    default: str | dict[str, str] | None
     help: str
     commands: tuple[str, ...]
+
+    def default_for(self, command: str) -> str | None:
+        if isinstance(self.default, dict):
+            return self.default[command]
+        return self.default
 
 
 _EVERY = ("coeffs", "zeno", "sweep", "oracle", "validate")
@@ -141,9 +147,13 @@ _SETTINGS = {
     "k": _Setting(parse_complex, "0.1", "linear coupling (complex)", _EVERY),
     "gamma_nl": _Setting(parse_complex, "0.001", "nonlinear coupling (complex)", _EVERY),
     "delta_k": _Setting(float, "0.0001", "phase mismatch (real)", _EVERY),
-    "alpha": _Setting(parse_complex, "5", "probe-mode amplitude (complex)", _DRIVEN),
-    "beta": _Setting(parse_complex, "2", "fundamental-mode amplitude (complex)", _DRIVEN),
-    "gamma": _Setting(parse_complex, "1", "second-harmonic amplitude (complex)", _DRIVEN),
+    # oracle's own amplitudes pass the truncation guard at its default cutoffs
+    "alpha": _Setting(parse_complex, {**dict.fromkeys(_DRIVEN, "5"), "oracle": "1"},
+                      "probe-mode amplitude (complex)", _DRIVEN),
+    "beta": _Setting(parse_complex, {**dict.fromkeys(_DRIVEN, "2"), "oracle": "1"},
+                     "fundamental-mode amplitude (complex)", _DRIVEN),
+    "gamma": _Setting(parse_complex, {**dict.fromkeys(_DRIVEN, "1"), "oracle": "0.5"},
+                      "second-harmonic amplitude (complex)", _DRIVEN),
     "z": _Setting(parse_range, None, f"propagation distance(s), {_RANGE}", _ALONG_Z),
     "gamma_z": _Setting(parse_range, None, f"rescaled length(s) gamma_nl*z, {_RANGE}",
                         _ALONG_Z),
@@ -184,7 +194,7 @@ class RunConfig:
                 text = cfg[name]
                 self.given[name] = f"{name} (in {args.config})"
             else:
-                text = _SETTINGS[name].default
+                text = _SETTINGS[name].default_for(args.command)
             setattr(self, name, None if text is None else _SETTINGS[name].parse(text))
         if "z" in self.given and "gamma_z" in self.given:
             raise ValueError("--z and --gamma-z are mutually exclusive")
@@ -504,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text, description=f"Columns: {columns}.")
         for name, setting in _SETTINGS.items():
             if command in setting.commands:
-                default = f" (default {setting.default})" if setting.default else ""
+                text = setting.default_for(command)
+                default = f" (default {text})" if text else ""
                 p.add_argument(_flag(name), dest=name, help=setting.help + default)
         p.add_argument("--config", help="key=value config file")
         p.set_defaults(func=func)

@@ -20,7 +20,8 @@ class ExcessiveTruncationLoss(ZenoCouplerError):
 
 
 class NonConvergence(ZenoCouplerError):
-    """The oracle's Taylor exponential did not converge within its term limit."""
+    """The oracle's Chebyshev exponential would need a degree above its
+    fixed cap (a propagation length far too long for the couplings)."""
 
 
 class InternalConsistencyError(ZenoCouplerError):

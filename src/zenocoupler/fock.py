@@ -12,19 +12,24 @@ evolves under the constant generator A = G(0) - dk N_b2.  One exponential
 of A followed by the diagonal frame phase is therefore exact up to
 rounding, with no step size or tolerance to choose.
 
-The exponential acts on the state through a substepped Taylor sum (the
-action of the matrix exponential; Al-Mohy & Higham, SIAM J. Sci. Comput.
-33 (2011) 488).  A is applied as one gather and one row sum over the
-ladder table of `kernels`, with the couplings and the Taylor factor
-i dz/s multiplied into the table once per propagation.  rho_total, the
-largest absolute row sum of A dz, bounds its 2-norm (A is Hermitian);
-the s = ceil(rho_total / theta) substeps each have norm rho <= theta, and
-a substep's sum stops once (e^rho - 1) * ||term||, a bound on all the
-terms not yet added, is at most 1e-16 * ||sum||.
+The exponential acts on the state through a Chebyshev expansion (Tal-Ezer
+& Kosloff, J. Chem. Phys. 81 (1984) 3967).  A is applied as one gather
+and one row sum over the ladder table of `kernels`.  The table's
+Gershgorin discs give an interval [c - h, c + h] holding the spectrum of
+the Hermitian A dz, so X = (A dz - c)/h has its spectrum in [-1, 1] and
+
+    exp(i A dz) = e^{ic} (J_0(h) + 2 sum_{n>=1} i^n J_n(h) T_n(X))
+
+(Jacobi-Anger).  Since |J_n(h)| <= (h/2)^n / n! and ||T_n(X)|| <= 1, the
+degree N is fixed before any matvec as the first at which that bound on
+the left-out terms is at most 1e-16; N - 1 matvecs of the three-term
+recurrence T_{n+1} = 2X T_n - T_{n-1} then give the step.  The couplings,
+dz, c and h are folded into the table of 2X once per propagation.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -40,20 +45,19 @@ from .params import CoherentInputs, CouplerParams, check_count, check_length
 # state (or a propagation) is rejected as unreliable.
 TRUNCATION_LOSS_LIMIT = 1e-6
 
-# Largest norm bound theta of one Taylor substep.  Longer substeps need
-# fewer matvecs in all, but a substep's terms can peak near
-# theta^theta / theta! times the state (11x at 4, 416x at 8), and their
-# rounding with them; past 4 the oracle benchmark's rounds ran no faster.
-_TAYLOR_SUBSTEP_NORM = 4.0
-# Bound on the Taylor tail left out of a substep, relative to its sum.
-_TAYLOR_TAIL_TOL = 1e-16
-_TAYLOR_MAX_TERMS = 300
+# Bound on the Chebyshev terms left out of one step, relative to the state.
+_CHEBYSHEV_TAIL_TOL = 1e-16
+# Largest Chebyshev degree (matvecs) of one step.  The degree exceeds h/2,
+# and h grows with z, so this turns a z far too long to propagate into
+# NonConvergence instead of an unbounded run.
+_CHEBYSHEV_MAX_DEGREE = 100_000
 
 # Largest basis a TruncationSpec may span.  A propagation peaks at about
-# 300 B per basis state: the ladder table (5 int64 columns and 5 float
+# 320 B per basis state: the ladder table (5 int64 columns and 5 float
 # magnitudes, 80 B, cached for the last 4 truncations used), its complex
-# values and the gathered amplitudes of one matvec (80 B each), and a few
-# complex state vectors (16 B each); about 1.2 GB at the limit.
+# values and the gathered amplitudes of one matvec (80 B each), and five
+# complex state vectors (the state, three Chebyshev terms and one scaled
+# term, 16 B each); about 1.3 GB at the limit.
 MAX_BASIS_DIMENSION = 4_000_000
 
 
@@ -100,7 +104,7 @@ class FockStateVector:
 @dataclass(frozen=True)
 class PropagationReport:
     final_state: FockStateVector
-    steps_used: int  # Taylor substeps of the exponential; 1 at z = 0
+    steps_used: int  # generator applications (matvecs); 0 at z = 0
     norm_drift: float
     conservation_drift: float
     # (<N_a>, <N_b1>, <N_b2>) of final_state, as mode_expectations gives them
@@ -161,31 +165,87 @@ def build_coherent_state(
     )
 
 
+def _chebyshev_degree(h: float, tol: float) -> int:
+    """Smallest N > h/2 at which 2 (h/2)^N / N! / (1 - h/(2(N+1))), a bound
+    on sum_{n>=N} |a_n| of exp(ihx) (|J_n(h)| <= (h/2)^n / n!), is at most
+    tol.  The bound falls with N past h/2; it is evaluated in log space,
+    where no power or factorial overflows."""
+    if h == 0:
+        return 1
+    log_limit = math.log(tol / 2)
+    log_half = math.log(h / 2)
+    n = math.floor(h / 2) + 1
+    while n * log_half - math.lgamma(n + 1) - math.log1p(-h / (2 * (n + 1))) > log_limit:
+        n += 1
+    return n
+
+
+def _bessel_j(h: float, count: int) -> list[float]:
+    """J_0(h) .. J_{count-1}(h), h > 0, by Miller's backward recurrence
+    J_{n-1} = (2n/h) J_n - J_{n+1}, normalized by J_0 + 2 sum_k J_2k = 1.
+    count is a degree N > h/2 at which |J_N| is below 1e-16, and the
+    recurrence starts there with J_{N+1} = 0; that start moves each J_n
+    kept by less than about |J_{N+1}|."""
+    j = [0.0] * (count + 2)
+    j[count] = 1.0
+    for n in range(count, 0, -1):
+        j[n - 1] = (2 * n / h) * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e250:  # growth above order h; rescale
+            j[n - 1:] = [v * 1e-250 for v in j[n - 1:]]
+    norm = j[0] + 2.0 * math.fsum(j[2::2])
+    return [v / norm for v in j[:count]]
+
+
+def _chebyshev_coefficients(h: float) -> list[complex]:
+    """a_n of exp(ihx) = sum_{n<N} a_n T_n(x) on [-1, 1] to within 1e-16
+    (Jacobi-Anger: a_0 = J_0(h), a_n = 2 i^n J_n(h)).  N = 1 below
+    h ~ 1e-16, where J_0(h) = 1 - h^2/4 rounds to 1."""
+    # N > h/2, so no scan is needed when h/2 is past the cap (or NaN)
+    if (not h / 2 < _CHEBYSHEV_MAX_DEGREE
+            or (degree := _chebyshev_degree(h, _CHEBYSHEV_TAIL_TOL)) > _CHEBYSHEV_MAX_DEGREE):
+        raise NonConvergence(
+            f"a Chebyshev propagator over spectral half-width {h:.3e} needs "
+            f"a degree above {_CHEBYSHEV_MAX_DEGREE}; shorten z"
+        )
+    if degree == 1:
+        return [1.0]
+    bessel = _bessel_j(h, degree)
+    return [bessel[0]] + [2.0 * (1.0, 1j, -1.0, -1j)[n % 4] * bessel[n]
+                          for n in range(1, degree)]
+
+
 def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
-    """psi <- exp(i dz (G(0)/hbar - dk N_b2)) psi in place via a substepped
-    Taylor sum; returns the number of substeps."""
+    """psi <- exp(i dz (G(0)/hbar - dk N_b2)) psi in place via a Chebyshev
+    expansion; returns the number of generator applications."""
     coeffs = term_coefficients(-delta_k, -complex(k), -complex(gamma_nl))
-    # largest absolute row sum of the Hermitian generator times |dz|
-    rho_total = abs(dz) * float(np.max(ws.mags @ np.abs(coeffs)))
-    substeps = max(1, math.ceil(rho_total / _TAYLOR_SUBSTEP_NORM))
-    # (e^rho - 1) ||term|| bounds every term after `term`
-    tail_sq = math.expm1(rho_total / substeps) ** 2
-    tol_sq = _TAYLOR_TAIL_TOL**2
-    vals = ws.mags * (coeffs * (1j * dz / substeps))
-    term = np.empty_like(psi)
-    scratch = np.empty_like(psi)
-    for _ in range(substeps):
-        np.copyto(term, psi)
-        for order in range(1, _TAYLOR_MAX_TERMS + 1):
-            _apply_kernel(term, scratch, ws.cols, vals)
-            term, scratch = scratch, term
-            term *= 1.0 / order
-            psi += term
-            if tail_sq * np.vdot(term, term).real <= tol_sq * np.vdot(psi, psi).real:
-                break
-        else:
-            raise NonConvergence("Taylor exponential did not converge")
-    return substeps
+    # spectral interval [lo, hi] of A dz from the table's Gershgorin discs,
+    # scaled by dz last: a z too long overflows to inf there, not to NaN
+    diag = -delta_k * ws.mags[:, 0]
+    radius = ws.mags[:, 1:] @ np.abs(coeffs[1:])
+    lo = dz * float(np.min(diag - radius))
+    hi = dz * float(np.max(diag + radius))
+    center, half_width = (hi + lo) / 2, (hi - lo) / 2
+    a = _chebyshev_coefficients(half_width)
+    phase = cmath.exp(1j * center)
+    if len(a) == 1:
+        psi *= phase
+        return 0
+    a = [phase * a_n for a_n in a]
+    # table of 2X, X = (A dz - center) / half_width; column 0 is the diagonal
+    vals = ws.mags * (coeffs * (2.0 * dz / half_width))
+    vals[:, 0] -= 2.0 * center / half_width
+    prev = psi.copy()                                    # T_0
+    cur = _apply_kernel(prev, np.empty_like(psi), ws.cols, vals)
+    cur *= 0.5                                           # T_1
+    nxt = np.empty_like(psi)
+    psi *= a[0]
+    psi += a[1] * cur
+    for a_n in a[2:]:
+        _apply_kernel(cur, nxt, ws.cols, vals)
+        nxt -= prev                                      # T_{n+1} = 2X T_n - T_{n-1}
+        psi += a_n * nxt
+        prev, cur, nxt = cur, nxt, prev
+    return len(a) - 1
 
 
 def _expectations(ws, psi):
@@ -218,11 +278,11 @@ def _propagate_raw(
 
     if z_final == 0:
         return PropagationReport(
-            final_state=state0, steps_used=1, norm_drift=0.0,
+            final_state=state0, steps_used=0, norm_drift=0.0,
             conservation_drift=0.0, expectations=n0,
         )
 
-    substeps = _expm_step(ws, k, gamma_nl, delta_k, z_final, psi)
+    matvecs = _expm_step(ws, k, gamma_nl, delta_k, z_final, psi)
     psi *= np.exp(1j * delta_k * z_final * ws.number_b2)
 
     leak = _boundary_mass(psi)
@@ -238,7 +298,7 @@ def _propagate_raw(
     )
     return PropagationReport(
         final_state=final,
-        steps_used=substeps,
+        steps_used=matvecs,
         norm_drift=abs(float(np.linalg.norm(psi.ravel())) - 1.0),
         conservation_drift=abs((na + n1 + 2 * n2) - (na0 + n10 + 2 * n20)),
         expectations=(na, n1, n2),

@@ -11,7 +11,7 @@ feeds row i from and its real square-root occupation factor mags[i, j];
 a term that leaves the truncated basis is padded with mags = 0 (and the
 row's own column).  The table depends only on the truncation shape.  A
 caller multiplies in one complex coefficient per term (couplings, a
-Taylor factor), vals = mags * term_coefficients(...), so that
+length and a Chebyshev scale), vals = mags * term_coefficients(...), so that
 
     out = sum_j vals[:, j] * x[cols[:, j]]
 

@@ -245,6 +245,27 @@ class TestCmdOracle:
         )
         assert code == 2 and out == ""
 
+    def test_defaults_run(self):
+        code, out = run_cli(["oracle"])
+        assert code == 0
+        _, rows = parse_table(out)
+        assert len(rows) == 1
+        assert float(rows[0]["gamma_z"]) == pytest.approx(0.05)
+        assert rows[0]["status"] == "ok"
+
+    def test_help_shows_the_oracle_defaults(self, capsys):
+        for command, alpha in (("oracle", "1"), ("zeno", "5")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            lines = capsys.readouterr().out.splitlines()
+            line = next(l for l in lines if l.strip().startswith("--alpha"))
+            assert line.endswith(f"(default {alpha})")
+
+    def test_huge_length_exits_4(self, capsys):
+        code, out = run_cli(["oracle", "--z", "1e9"])
+        assert code == 4 and out == ""
+        assert "degree" in capsys.readouterr().err
+
     def test_truncation_loss_exits_4(self):
         code, _ = run_cli(
             ["oracle", "--alpha", "5", "--z", "1", "--cutoffs", "6,6,4"]

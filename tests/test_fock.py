@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -198,7 +200,7 @@ class TestPropagate:
     def test_zero_length(self):
         trunc = TruncationSpec(10, 10, 6)
         r = propagate(FIG2_PARAMS, SMALL_INPUTS, 0.0, trunc)
-        assert r.steps_used == 1
+        assert r.steps_used == 0
         assert r.norm_drift == 0 and r.conservation_drift == 0
         na, n1, n2 = mode_expectations(r.final_state)
         assert na == pytest.approx(1.0, abs=1e-6)
@@ -239,8 +241,8 @@ class TestPropagate:
 
     def test_random_points_against_dense_reference(self, rng):
         # eigh of the independent ladder-matrix generator; dz up to 100 puts
-        # the norm bound rho_total far above one substep's theta.
-        most_substeps = 0
+        # the spectral half-width h of A dz in the hundreds.
+        most_matvecs = 0
         for i in range(20):
             cutoffs = TABLE_CUTOFFS[i % len(TABLE_CUTOFFS)]
             trunc = TruncationSpec(*cutoffs)
@@ -250,10 +252,12 @@ class TestPropagate:
             psi0 = _random_state(rng, trunc.dimension)
             want = v @ (np.exp(1j * dz * w) * (v.conj().T @ psi0))
             psi = psi0.reshape(trunc.shape).copy()
-            substeps = fock._expm_step(fock._workspace(trunc), k, g, dk, dz, psi)
-            most_substeps = max(most_substeps, substeps)
+            matvecs = fock._expm_step(fock._workspace(trunc), k, g, dk, dz, psi)
+            most_matvecs = max(most_matvecs, matvecs)
             assert np.max(np.abs(psi.ravel() - want)) <= 1e-12
-        assert most_substeps >= 50
+        # 299 matvecs (degree 300) need h > 196, so at least one case had a
+        # row-sum norm bound of A dz, which is at least h, above 196.
+        assert most_matvecs >= 299
 
     def test_expectations_carried_on_the_report(self):
         trunc = TruncationSpec(10, 10, 6)
@@ -266,13 +270,19 @@ class TestPropagate:
         with pytest.raises(InvalidParameters):
             propagate(FIG2_PARAMS, SMALL_INPUTS, z, TruncationSpec(8, 8, 5))
 
-    def test_nonconvergence_raises(self, monkeypatch):
-        # Two Taylor terms cannot bring the tail bound to 1e-16 at a
-        # substep norm bound near theta.
-        monkeypatch.setattr(fock, "_TAYLOR_MAX_TERMS", 2)
-        trunc = TruncationSpec(10, 10, 6)
+    @pytest.mark.parametrize("z", [1e9, 1e308])
+    def test_huge_length_raises_before_any_matvec(self, monkeypatch, z):
+        # h ~ z would need a degree far above the cap; no polynomial could
+        # finish, so the step must refuse at once (at 1e308, h overflows).
+        def no_matvec(*args):
+            raise AssertionError("matvec after the degree check")
+
+        monkeypatch.setattr(fock, "_apply_kernel", no_matvec)
+        inputs = CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2)
+        start = time.perf_counter()
         with pytest.raises(NonConvergence):
-            propagate(FIG2_PARAMS, SMALL_INPUTS, 50.0, trunc)
+            propagate(FIG2_PARAMS, inputs, z, TruncationSpec(7, 7, 5))
+        assert time.perf_counter() - start < 1.0
 
     def test_truncation_leak_detected(self):
         # beta = 2 pumps the b2 mode; a 2-photon b2 cutoff must trip the
@@ -282,6 +292,51 @@ class TestPropagate:
         trunc = TruncationSpec(1, 12, 1)
         with pytest.raises(ExcessiveTruncationLoss):
             propagate(p, inputs, 60.0, trunc)
+
+
+class TestChebyshevCoefficients:
+    @pytest.mark.parametrize("h", [1e-12, 0.3, 8.0, 200.0, 2000.0])
+    def test_series_matches_exponential(self, rng, h):
+        # x on a 2^-20 grid makes h*x exact, so exp(ihx) is rounded once.
+        # At h = 2000, (h/2)^N / N! overflows a float: the degree scan must
+        # run in log space to return at all.
+        x = rng.integers(-2**20, 2**20, size=500, endpoint=True) / 2.0**20
+        x = np.concatenate([x, [-1.0, 0.0, 1.0]])
+        a = fock._chebyshev_coefficients(h)
+        prev, cur = np.ones_like(x), x.copy()
+        total = a[0] * prev + a[1] * cur
+        for a_n in a[2:]:
+            prev, cur = cur, 2.0 * x * cur - prev
+            total += a_n * cur
+        assert np.max(np.abs(total - np.exp(1j * h * x))) <= 1e-13
+
+
+class TestWorkCount:
+    """Matvecs per propagation, counted at the kernel binding.  A propagator
+    as slow as the earlier substepped Taylor sum (180 and 720 matvecs)
+    fails these on any host."""
+
+    @pytest.fixture
+    def matvecs(self, monkeypatch):
+        count = [0]
+
+        def spy(*args):
+            count[0] += 1
+            return kernels.apply_generator(*args)
+
+        monkeypatch.setattr(fock, "_apply_kernel", spy)
+        return count
+
+    def test_oracle_scan_point(self, matvecs):
+        # the dk = 0.3 stratum of perfbench's oracle_scan, without jitter
+        params = CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=0.3)
+        inputs = CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2)
+        oracle_zeno_parameter(params, inputs, 6.0, TruncationSpec(7, 7, 5))
+        assert matvecs[0] <= 70
+
+    def test_long_propagation(self, matvecs):
+        r = propagate(FIG2_PARAMS, SMALL_INPUTS, 50.0, TruncationSpec(12, 12, 8))
+        assert r.steps_used == matvecs[0] <= 200
 
 
 class TestOracleZenoParameter:
@@ -301,6 +356,17 @@ class TestOracleZenoParameter:
         half = oracle_zeno_parameter(half_params, inputs, 30.0, trunc)
         assert abs(full) < 1e-3
         assert 3.0 < abs(full) / abs(half) < 5.0
+
+    def test_zero_couplings_reference(self):
+        # gamma_nl = dk = 0 gives the probe-free reference a zero generator
+        # (half-width h = 0): its step is a phase, with no division by h.
+        params = CouplerParams(k=0.1, gamma_nl=0.0, delta_k=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle_zeno_parameter(params, SMALL_INPUTS, 50.0,
+                                        TruncationSpec(12, 12, 8))
+        # b2 is decoupled at gamma_nl = 0, so <N_b2> is unchanged in both runs
+        assert math.isfinite(got) and abs(got) <= 1e-12
 
     def test_sign_matches_perturbative(self):
         trunc = TruncationSpec(10, 10, 6)
