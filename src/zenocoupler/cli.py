@@ -28,6 +28,7 @@ from .fock import TruncationSpec, _oracle_pair, propagate
 from .observables import mode_means, zeno_parameter, zeno_sample
 from .params import CoherentInputs, CouplerParams
 from .sweep import (
+    _CLASSIFICATIONS,
     SECONDARY_AXES,
     AxisSpec,
     SweepSpec,
@@ -222,6 +223,10 @@ def _fmt(v) -> str:
 def write_table(header: list[str], rows: list[list], out_path: str | None) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+    _write_lines(lines, out_path)
+
+
+def _write_lines(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -267,6 +272,10 @@ def cmd_zeno(args) -> int:
     return EXIT_OK
 
 
+# classification column of each sign code; a sign indexes it directly
+_LABELS = tuple(c.value for c in _CLASSIFICATIONS)
+
+
 def cmd_sweep(args) -> int:
     cfg = RunConfig(args)
     if cfg.preset:
@@ -297,22 +306,27 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec)
     header = ["axis_name", "axis_value", "z", "gamma_z", "n_b2",
               "n_b2_uncoupled", "delta_n_z", "classification", "status"]
-    rows = []
+    lines = [",".join(header)]
     axis_name = spec.secondary_name or ""
-    for c in result.cells:
-        if c.sample is None:
-            rows.append([axis_name, c.secondary_value if c.secondary_value is not None else "",
-                         "", c.gamma_z, "", "", "", "", c.status])
+    gamma_z = result.gamma_z.tolist()
+    columns = (result.z, result.n_b2, result.n_b2_uncoupled, result.delta_n_z, result.sign)
+    for sv, status, message, z, n_b2, n_ref, dnz, signs in zip(
+            result.secondary_values, result.row_status, result.row_message,
+            *(column.tolist() for column in columns)):
+        axis_value = "" if sv is None else _fmt(sv)
+        if status != "ok":
+            template = f"{axis_name},{axis_value},,%.15g,,,,,{status}"
+            lines.extend(template % gz for gz in gamma_z)
             # the reason goes to stderr: the CSV's columns are fixed
-            where = f"{axis_name}={_fmt(c.secondary_value)}, " if axis_name else ""
-            print(f"{c.status} cell {where}gamma_z={_fmt(c.gamma_z)}: {c.message}",
-                  file=sys.stderr)
-        else:
-            s = c.sample
-            rows.append([axis_name, c.secondary_value if c.secondary_value is not None else "",
-                         s.z, c.gamma_z, s.n_b2, s.n_b2_uncoupled, s.delta_n_z,
-                         s.classification.value, c.status])
-    write_table(header, rows, cfg.out)
+            where = f"{axis_name}={axis_value}, " if axis_name else ""
+            for gz in gamma_z:
+                print(f"{status} cell {where}gamma_z={_fmt(gz)}: {message}", file=sys.stderr)
+            continue
+        # one template per row: '%.15g' % v is f"{v:.15g}" for every float
+        template = f"{axis_name},{axis_value},%.15g,%.15g,%.15g,%.15g,%.15g,%s,ok"
+        labels = map(_LABELS.__getitem__, signs)
+        lines.extend(map(template.__mod__, zip(z, gamma_z, n_b2, n_ref, dnz, labels)))
+    _write_lines(lines, cfg.out)
     return EXIT_OK
 
 

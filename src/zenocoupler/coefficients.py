@@ -14,9 +14,9 @@ threshold to avoid catastrophic cancellation.
 `compute_coefficients` and `compute_h2_prime` take z as a float or as a
 1-D float array.  A float z is evaluated with `cmath`/`math`, and the
 series switch is an `if`; an array z is evaluated elementwise with numpy
-in one pass, and the switch is an `np.where` per element, so one array
-may mix series and closed-form cells.  Both use the same expressions and
-agree to rounding.
+in one pass, and the series overwrites the elements the switch gives it,
+so one array may mix series and closed-form cells.  Both use the same
+expressions and agree to rounding.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def _use_series(delta_k: float, z, k_mag: float):
 
 
 def _series_gmc_over_dk(delta_k: float, z):
-    """Series of (1 - exp(+i dk z)) / dk about dk = 0 (limit -i z)."""
-    return -1j * z + delta_k * z**2 / 2.0 + 1j * delta_k**2 * z**3 / 6.0
+    """Series of (1 - exp(+i dk z)) / dk about dk = 0 (limit -i z), in the
+    small phase p = dk z, so that no power of z alone can overflow."""
+    p = delta_k * z
+    return -1j * z + z * p / 2.0 + 1j * z * p**2 / 6.0
 
 
 def _scalar_over_dk(series_fn, numerator: complex, delta_k: float, z: float, series: bool):
@@ -67,11 +69,13 @@ def _scalar_over_dk(series_fn, numerator: complex, delta_k: float, z: float, ser
 
 
 def _array_over_dk(series_fn, numerator, delta_k: float, z, series):
-    """Elementwise numerator / dk, or its series where the switch says so;
-    the branch a cell does not use may divide by zero (errors suppressed)."""
-    if not np.any(series):
-        return numerator / delta_k
-    return np.where(series, series_fn(delta_k, z), numerator / delta_k)
+    """Elementwise numerator / dk, with the series on the elements the switch
+    gives it (only there, so it never sees a z far past its range); the
+    division there may be 0/0 (errors suppressed) before it is replaced."""
+    out = numerator / delta_k
+    if np.any(series):
+        out[series] = series_fn(delta_k, z[series])
+    return out
 
 
 # (exp, cos, sin, dk-quotient select) for a float z and for an array z

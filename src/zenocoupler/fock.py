@@ -20,11 +20,15 @@ the Hermitian A dz, so X = (A dz - c)/h has its spectrum in [-1, 1] and
 
     exp(i A dz) = e^{ic} (J_0(h) + 2 sum_{n>=1} i^n J_n(h) T_n(X))
 
-(Jacobi-Anger).  Since |J_n(h)| <= (h/2)^n / n! and ||T_n(X)|| <= 1, the
-degree N is fixed before any matvec as the first at which that bound on
-the left-out terms is at most 1e-16; N - 1 matvecs of the three-term
-recurrence T_{n+1} = 2X T_n - T_{n-1} then give the step.  The couplings,
-dz, c and h are folded into the table of 2X once per propagation.
+(Jacobi-Anger).  Since |J_n(h)| <= (h/2)^n / n! and ||T_n(X)|| <= 1, a
+degree is fixed before any matvec as the first at which that bound on
+the left-out terms is at most 1e-16.  That bound is loose once h is
+large (it puts the degree near e h/2, where the J_n fall below 1e-16
+near h), so trailing terms are then dropped while the dropped 2|J_n| sum
+to at most 1e-16: at most 2e-16 is left out in all.  N - 1 matvecs of
+the three-term recurrence T_{n+1} = 2X T_n - T_{n-1} give the step.  The
+couplings, dz, c and h are folded into the table of 2X once per
+propagation.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from .params import CoherentInputs, CouplerParams, check_count, check_length
 # state (or a propagation) is rejected as unreliable.
 TRUNCATION_LOSS_LIMIT = 1e-6
 
-# Bound on the Chebyshev terms left out of one step, relative to the state.
+# Bound on the Chebyshev terms left out of one step, relative to the state,
+# past the scanned degree and again among the trailing terms dropped before
+# it (2x this in all).
 _CHEBYSHEV_TAIL_TOL = 1e-16
 # Largest Chebyshev degree (matvecs) of one step.  The degree exceeds h/2,
 # and h grows with z, so this turns a z far too long to propagate into
@@ -197,9 +203,11 @@ def _bessel_j(h: float, count: int) -> list[float]:
 
 
 def _chebyshev_coefficients(h: float) -> list[complex]:
-    """a_n of exp(ihx) = sum_{n<N} a_n T_n(x) on [-1, 1] to within 1e-16
-    (Jacobi-Anger: a_0 = J_0(h), a_n = 2 i^n J_n(h)).  N = 1 below
-    h ~ 1e-16, where J_0(h) = 1 - h^2/4 rounds to 1."""
+    """a_n of exp(ihx) = sum_{n<N} a_n T_n(x) on [-1, 1] to within 2e-16
+    (Jacobi-Anger: a_0 = J_0(h), a_n = 2 i^n J_n(h)): the scanned degree's
+    bound leaves out at most 1e-16, and the trailing terms dropped after it
+    at most 1e-16 more.  N = 1 below h ~ 1e-16, where J_0(h) = 1 - h^2/4
+    rounds to 1."""
     # N > h/2, so no scan is needed when h/2 is past the cap (or NaN)
     if (not h / 2 < _CHEBYSHEV_MAX_DEGREE
             or (degree := _chebyshev_degree(h, _CHEBYSHEV_TAIL_TOL)) > _CHEBYSHEV_MAX_DEGREE):
@@ -210,6 +218,12 @@ def _chebyshev_coefficients(h: float) -> list[complex]:
     if degree == 1:
         return [1.0]
     bessel = _bessel_j(h, degree)
+    # the scan's bound is loose once h is large; drop trailing terms while
+    # the dropped 2|J_n| sum to at most the tolerance
+    dropped = 0.0
+    while degree > 1 and dropped + 2.0 * abs(bessel[degree - 1]) <= _CHEBYSHEV_TAIL_TOL:
+        degree -= 1
+        dropped += 2.0 * abs(bessel[degree])
     return [bessel[0]] + [2.0 * (1.0, 1j, -1.0, -1j)[n % 4] * bessel[n]
                           for n in range(1, degree)]
 

@@ -82,13 +82,24 @@ def _delta_n_z(h, h2p, a: complex, b: complex, g: complex):
     return _real_pair_sum(cross)
 
 
+def _b2_coefficients(params: CouplerParams, z):
+    """(h, h2') at a float z, or as arrays over a 1-D array z: the
+    evaluation step of `_b2_numbers`, which depends on the couplings only."""
+    return (compute_coefficients(params, z).h,
+            compute_h2_prime(params.gamma_nl, params.delta_k, z))
+
+
+def _b2_combine(h, h2p, inputs: CoherentInputs):
+    """(<N_b2>, <N_b2>_{k=0}, dN_Z) from evaluated (h, h2'): the combination
+    step of `_b2_numbers`, which depends on the inputs only."""
+    a, b, g = _amplitudes(inputs)
+    return _n_b2(h, a, b, g), _n_b2_uncoupled(h2p, b, g), _delta_n_z(h, h2p, a, b, g)
+
+
 def _b2_numbers(params: CouplerParams, inputs: CoherentInputs, z):
     """(<N_b2>, <N_b2>_{k=0}, dN_Z) at a float z, or as arrays over a 1-D
     array z, from one coefficient and one h2' evaluation."""
-    h = compute_coefficients(params, z).h
-    h2p = compute_h2_prime(params.gamma_nl, params.delta_k, z)
-    a, b, g = _amplitudes(inputs)
-    return _n_b2(h, a, b, g), _n_b2_uncoupled(h2p, b, g), _delta_n_z(h, h2p, a, b, g)
+    return _b2_combine(*_b2_coefficients(params, z), inputs)
 
 
 def mean_photon_b2(params: CouplerParams, inputs: CoherentInputs, z: float) -> float:
@@ -124,6 +135,21 @@ def classify(delta_n_z: float, tol: float = DEFAULT_CLASSIFICATION_TOL) -> Class
     if delta_n_z > tol:
         return Classification.ANTI_ZENO
     return Classification.NULL
+
+
+def _signs(delta_n_z: np.ndarray, tol: float) -> np.ndarray:
+    """Array form of `classify`, as int8 signs: -1 Zeno, 0 Null, +1
+    AntiZeno, with the same thresholds and errors (an empty array is not
+    classified, so it raises nothing)."""
+    if delta_n_z.size:
+        if not tol >= 0:
+            raise InvalidParameters(f"tol must be non-negative, got {tol}")
+        bad = delta_n_z[~np.isfinite(delta_n_z)]
+        if bad.size:
+            raise InvalidParameters(
+                f"cannot classify a non-finite Zeno parameter ({bad[0]})"
+            )
+    return (delta_n_z > tol).astype(np.int8) - (delta_n_z < -tol)
 
 
 def zeno_sample(

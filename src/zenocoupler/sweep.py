@@ -7,18 +7,26 @@ using the magnitude of its own nonlinear coupling.
 
 `run_sweep` evaluates a grid row by row: within a row (one secondary-axis
 value) the couplings and inputs are fixed, so the closed form runs once
-over the row's z array and the row's cells are built from that array
-evaluation.  Each cell equals the scalar `zeno_sample` at its own z to
-rounding.  A row whose parameters raise becomes a row of error markers:
-status "degenerate" for DegenerateParameters (the 2|k| = |dk| resonance),
-"invalid" for InvalidParameters (e.g. k = 0 or gamma_nl = 0).
+over the row's z array, and rows with the same couplings (a phi axis)
+share that evaluation.  The `SweepResult` is columnar: z, <N_b2>,
+<N_b2>_{k=0}, dN_Z and the sign classification are (secondary, z) arrays,
+classified in one array expression with `classify`'s thresholds and
+errors.  Each cell equals the scalar `zeno_sample` at its own z to
+rounding.  A row whose parameters raise fails as a whole: status
+"degenerate" for DegenerateParameters (the 2|k| = |dk| resonance),
+"invalid" for InvalidParameters (e.g. k = 0 or gamma_nl = 0), with NaN
+numbers and sign 0.  `SweepResult.cells` is a list of `SweepCell` records
+built from the arrays on first read; `find_transitions` and
+`validate_against_oracle` read the arrays and build no more cells than
+they return or compare.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+import functools
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -28,8 +36,9 @@ from .observables import (
     DEFAULT_CLASSIFICATION_TOL,
     Classification,
     ZenoSample,
-    _b2_numbers,
-    classify,
+    _b2_coefficients,
+    _b2_combine,
+    _signs,
     zeno_parameter,
 )
 from .params import CoherentInputs, CouplerParams, check_count
@@ -102,18 +111,72 @@ class SweepCell:
     message: str = ""
 
 
-@dataclass(frozen=True)
+# Classification of each sign code; a sign indexes it directly (-1 is the last).
+_CLASSIFICATIONS = (Classification.NULL, Classification.ANTI_ZENO, Classification.ZENO)
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A grid in columns: one array per quantity, indexed (secondary index,
+    z index), plus one status and message per row.  A row fails as a whole
+    (only its parameters can raise), and its numbers are NaN and its signs 0.
+    The arrays are read-only; `cells` is a view built on first read.  Two
+    results compare by identity (arrays have no single truth value); compare
+    their `cells` or arrays instead."""
+
     spec: SweepSpec
-    cells: list[SweepCell] = field(default_factory=list)
+    gamma_z: np.ndarray  # (n_z,)
+    secondary_values: tuple  # (None,) without a secondary axis
+    z: np.ndarray  # (n_secondary, n_z), like the three below
+    n_b2: np.ndarray
+    n_b2_uncoupled: np.ndarray
+    delta_n_z: np.ndarray
+    sign: np.ndarray  # int8: -1 Zeno, 0 Null or a failed row, +1 AntiZeno
+    row_status: tuple[str, ...]  # "ok", "degenerate" or "invalid" (see SweepCell)
+    row_message: tuple[str, ...]  # "" on an ok row
+
+    def __post_init__(self):
+        for name in ("gamma_z", "z", "n_b2", "n_b2_uncoupled", "delta_n_z", "sign"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_secondary(self) -> int:
-        return 1 if self.spec.secondary_axis is None else self.spec.secondary_axis.count
+        return len(self.secondary_values)
 
     @property
     def n_z(self) -> int:
-        return self.spec.z_axis.count
+        return len(self.gamma_z)
+
+    @functools.cached_property
+    def _built(self) -> list[SweepCell | None]:
+        # each cell built so far, at its flat index si * n_z + zi: the view
+        # and find_transitions share one object per cell
+        return [None] * self.z.size
+
+    def _cells_at(self, flat) -> list[SweepCell]:
+        """The cells at flat indices si * n_z + zi, in that order; each cell
+        is built once."""
+        built = self._built
+        todo = np.array(sorted({i for i in flat if built[i] is None}), dtype=np.intp)
+        rows, cols = np.divmod(todo, self.n_z)
+        secondary, status, message = self.secondary_values, self.row_status, self.row_message
+        columns = (self.z, self.n_b2, self.n_b2_uncoupled, self.delta_n_z, self.sign)
+        for i, si, zi, gz, z, nb, nr, d, s in zip(
+                todo.tolist(), rows.tolist(), cols.tolist(), self.gamma_z[cols].tolist(),
+                *(column[rows, cols].tolist() for column in columns)):
+            if status[si] == "ok":
+                sample = ZenoSample(z, nb, nr, d, _CLASSIFICATIONS[s])
+                built[i] = SweepCell(si, zi, secondary[si], gz, sample, "ok")
+            else:
+                built[i] = SweepCell(si, zi, secondary[si], gz, None, status[si], message[si])
+        return [built[i] for i in flat]
+
+    @functools.cached_property
+    def cells(self) -> list[SweepCell]:
+        """Every cell, ordered by (secondary index, z index)."""
+        return self._cells_at(range(self.z.size))
 
 
 def _cell_parameters(spec: SweepSpec, name: str | None, value: float | None):
@@ -137,64 +200,55 @@ def _cell_parameters(spec: SweepSpec, name: str | None, value: float | None):
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the Zeno parameter over the grid, lexicographically ordered
-    in (secondary index, z index), one pass per row; cells whose parameters
-    raise become error markers."""
-    gamma_z_values = spec.z_axis.values()
-    gamma_z_list = gamma_z_values.tolist()
+    """Evaluate the Zeno parameter over the grid, one pass per row; a row
+    whose parameters raise is marked failed.  Consecutive rows with the same
+    couplings (a phi axis) share one coefficient evaluation."""
+    gamma_z = spec.z_axis.values()
     if spec.secondary_axis is None:
-        sec_values = [None]
+        sec_values = (None,)
     else:
-        sec_values = spec.secondary_axis.values().tolist()
+        sec_values = tuple(spec.secondary_axis.values().tolist())
 
-    tol = spec.classification_tol
-    cells: list[SweepCell] = []
+    shape = (len(sec_values), len(gamma_z))
+    z, n_b2, n_ref, dnz = (np.full(shape, np.nan) for _ in range(4))
+    status, message = ["ok"] * shape[0], [""] * shape[0]
+    last_params = terms = None
     for si, sv in enumerate(sec_values):
         try:
             params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
-            z_values = z_from_gamma_z(gamma_z_values, params.gamma_nl)
+            z[si] = z_from_gamma_z(gamma_z, params.gamma_nl)
         except (DegenerateParameters, InvalidParameters) as exc:
-            status = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
-            cells.extend(
-                SweepCell(si, zi, sv, gz, None, status, str(exc))
-                for zi, gz in enumerate(gamma_z_list)
-            )
+            status[si] = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
+            message[si] = str(exc)
             continue
-        n_b2, n_ref, dnz = _b2_numbers(params, inputs, z_values)
-        cells.extend(
-            SweepCell(si, zi, sv, gz, ZenoSample(z, nb, nr, d, classify(d, tol)), "ok")
-            for zi, (gz, z, nb, nr, d) in enumerate(zip(
-                gamma_z_list, z_values.tolist(), n_b2.tolist(), n_ref.tolist(),
-                dnz.tolist()))
-        )
-    return SweepResult(spec=spec, cells=cells)
+        if params is not last_params:
+            last_params, terms = params, _b2_coefficients(params, z[si])
+        n_b2[si], n_ref[si], dnz[si] = _b2_combine(*terms, inputs)
 
-
-_SIGN = {Classification.ZENO: -1, Classification.ANTI_ZENO: 1, Classification.NULL: 0}
+    ok = np.array([s == "ok" for s in status])
+    sign = np.zeros(shape, dtype=np.int8)
+    sign[ok] = _signs(dnz[ok], spec.classification_tol)
+    return SweepResult(spec, gamma_z, sec_values, z, n_b2, n_ref, dnz, sign,
+                       tuple(status), tuple(message))
 
 
 def find_transitions(result: SweepResult) -> list[tuple[SweepCell, SweepCell]]:
     """Adjacent cell pairs (along either grid axis) whose Zeno parameters
     have strictly opposite sign classifications, in row-major order of
-    their first cell, the z neighbour before the secondary neighbour."""
-    if len(result.cells) < 2:
-        raise InvalidParameters("need at least 2 samples to bracket a transition")
+    their first cell, the z neighbour before the secondary neighbour.  Only
+    the cells returned are built."""
     ns, nz = result.n_secondary, result.n_z
-    grid = {}
-    sign = np.zeros((ns, nz), dtype=np.int8)  # 0 for Null and error cells
-    for c in result.cells:
-        key = (c.secondary_index, c.z_index)
-        grid[key] = c
-        if c.sample is not None:
-            sign[key] = _SIGN[c.sample.classification]
+    if ns * nz < 2:
+        raise InvalidParameters("need at least 2 samples to bracket a transition")
+    sign = result.sign
     # opposite[si, zi, 0]: (si, zi) and (si, zi + 1); [..., 1]: and (si + 1, zi)
     opposite = np.zeros((ns, nz, 2), dtype=bool)
     opposite[:, :-1, 0] = sign[:, :-1] * sign[:, 1:] < 0
     opposite[:-1, :, 1] = sign[:-1, :] * sign[1:, :] < 0
-    return [
-        (grid[si, zi], grid[si + axis, zi + 1 - axis])
-        for si, zi, axis in zip(*(idx.tolist() for idx in np.nonzero(opposite)))
-    ]
+    si, zi, axis = np.nonzero(opposite)
+    first, second = si * nz + zi, (si + axis) * nz + zi + 1 - axis
+    ends = result._cells_at(np.concatenate((first, second)).tolist())
+    return list(zip(ends[:len(si)], ends[len(si):]))
 
 
 @dataclass(frozen=True)
@@ -228,19 +282,21 @@ def validate_against_oracle(
         raise InvalidParameters("oracle validation needs |alpha|, |beta|, |gamma| <= 2")
     check_count(sample_count, "sample_count", 0)
     result = run_sweep(spec)
-    ok_cells = [c for c in result.cells if c.status == "ok" and c.gamma_z > 0]
+    # the ok cells past gamma_z = 0, in row-major order
+    ok_rows = np.array([status == "ok" for status in result.row_status])
+    rows, cols = np.nonzero(ok_rows[:, None] & (result.gamma_z > 0))
     rng = np.random.default_rng(ORACLE_SAMPLE_SEED)
-    chosen = rng.choice(len(ok_cells), size=min(sample_count, len(ok_cells)), replace=False)
+    chosen = rng.choice(len(rows), size=min(sample_count, len(rows)), replace=False)
 
     max_disc = 0.0
     for idx in sorted(int(i) for i in chosen):
-        cell = ok_cells[idx]
+        si, zi = rows[idx], cols[idx]
         params, inputs = _cell_parameters(
-            spec, spec.secondary_name, cell.secondary_value
+            spec, spec.secondary_name, result.secondary_values[si]
         )
-        z = cell.sample.z
+        z = result.z[si, zi].item()
         exact = oracle_zeno_parameter(params, inputs, z, truncation)
-        max_disc = max(max_disc, abs(exact - cell.sample.delta_n_z))
+        max_disc = max(max_disc, abs(exact - result.delta_n_z[si, zi].item()))
 
     params, inputs = spec.params, spec.inputs
     z = z_from_gamma_z(spec.z_axis.max, params.gamma_nl)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from contextlib import redirect_stdout
@@ -146,7 +147,38 @@ class TestCmdZeno:
         assert a == b
 
 
+# sha256 of `zenocoupler sweep --preset <name>` stdout, recorded before sweep
+# results became columnar (numpy 2.4, x86-64); the CSV rows are rendered
+# from the arrays now, and no byte of them may move
+PRESET_SHA256 = {
+    "fig2": "75ee9beef33ef17ddfae1c2ac6dc113b6b3435cc66d4b9d730d2c49ff19af63a",
+    "fig3": "5665c14d6055e9da71ee05cd2d8481763d4ddba58f439336aaecfd426be50d81",
+    "fig4": "7e2bba1be576fdd9e9611e498a6f220633a96ffc1f79605fb1e4b0969b24a563",
+}
+
+
 class TestCmdSweep:
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_preset_output_pinned(self, name):
+        code, out = run_cli(["sweep", "--preset", name])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PRESET_SHA256[name]
+
+    @pytest.mark.parametrize("argv", [
+        ["zeno", "--delta-k", "0", "--z", "1e200:1e200:1"],
+        ["sweep", "--delta-k", "0", "--z", "0:1e200:3"],
+        ["sweep", "--delta-k", "1e-4", "--gamma-z", "0:1e300:3"],
+    ], ids=["zeno-scalar-series", "sweep-series", "sweep-closed-form"])
+    def test_long_lengths_give_a_number_or_a_typed_error(self, argv, capsys):
+        # the dk -> 0 series must not overflow (or warn: tier-1 turns a
+        # RuntimeWarning into an error) at z far past its switch
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 2 and err.startswith("error: "))
+        if code == 0:
+            _, rows = parse_table(out)
+            assert all(math.isfinite(float(r["delta_n_z"])) for r in rows)
+
     def test_preset_fig2(self):
         code, out = run_cli(["sweep", "--preset", "fig2"])
         assert code == 0

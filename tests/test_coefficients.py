@@ -175,6 +175,18 @@ class TestArrayZ:
                 for got, w in zip(rows, want):
                     assert abs(got[i] - w) <= 1e-13 * (abs(w) + scale)
 
+    def test_series_finite_at_long_lengths(self):
+        # the series is written in the small phase dk z, so no power of z
+        # alone overflows; an array evaluates it on its series elements only
+        p = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=0.0)
+        for z in (1e200, np.array([0.0, 1e100, 1e200, 1e300])):
+            c = compute_coefficients(p, z)
+            assert all(np.isfinite(v).all() for v in (*c.f, *c.g, *c.h))
+            assert np.array_equal(compute_h2_prime(0.001, 0.0, z), -1e-3j * z)
+        z = np.array([0.0, 1e300, 1e303])  # closed form past z = 0
+        c = compute_coefficients(CouplerParams(**FIG2), z)
+        assert all(np.isfinite(v).all() for v in (*c.f, *c.g, *c.h))
+
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_invalid_array_z_rejected(self, bad):
         z = np.array([0.0, 10.0, bad, 20.0])

@@ -335,8 +335,10 @@ class TestWorkCount:
         assert matvecs[0] <= 70
 
     def test_long_propagation(self, matvecs):
+        # h ~ 116: the (h/2)^N/N! scan alone keeps 190 terms, the trailing
+        # Bessel terms below the tolerance are dropped down to 172
         r = propagate(FIG2_PARAMS, SMALL_INPUTS, 50.0, TruncationSpec(12, 12, 8))
-        assert r.steps_used == matvecs[0] <= 200
+        assert r.steps_used == matvecs[0] <= 175
 
 
 class TestOracleZenoParameter:

@@ -1,8 +1,10 @@
-"""The names the benchmark harness in perfbench/ reads from the package.
+"""The names the benchmark harness in perfbench/ reads from the package,
+and the attributes it reads on the package's results.
 
 perfbench/ is not collected by these tests and changes only with the
-benchmark, so a name pruned from the package would otherwise surface only
-when `perfbench/run.py` (or its `--trace 1` tracer) is next run.
+benchmark, so a name pruned from the package, or an attribute dropped from
+a result, would otherwise surface only when `perfbench/run.py` (or its
+`--trace 1` tracer) is next run.
 """
 
 import importlib
@@ -73,3 +75,38 @@ def test_package_reads_resolve(name):
 @pytest.mark.parametrize("modname,name", _submodule_imports())
 def test_submodule_imports_resolve(modname, name):
     assert hasattr(importlib.import_module(modname), name)
+
+
+# Attributes the harness reads on results (workloads.py checks every cell of
+# a surface, tracing.py counts cells and matvecs), by the type that has them.
+RESULT_READS = {
+    "SweepResult": ("cells", "n_secondary", "n_z"),
+    "SweepCell": ("status", "sample", "secondary_index", "z_index"),
+    "ZenoSample": ("n_b2", "n_b2_uncoupled", "delta_n_z", "classification"),
+    "PropagationReport": ("steps_used", "final_state", "norm_drift", "conservation_drift"),
+}
+
+
+@pytest.fixture(scope="module")
+def results():
+    """One of each result type, from a real `run_sweep` and `propagate`."""
+    spec = zc.SweepSpec(
+        params=zc.CouplerParams(k=0.1, gamma_nl=0.001, delta_k=1e-4),
+        inputs=zc.CoherentInputs(5.0, 2.0, 1.0),
+        z_axis=zc.AxisSpec(0.0, 0.1, 3),
+        secondary_name="delta_k",
+        secondary_axis=zc.AxisSpec(1e-4, 0.3, 2),
+    )
+    sweep = zc.run_sweep(spec)
+    cell = sweep.cells[-1]
+    report = zc.propagate(spec.params, zc.CoherentInputs(0.3, 0.3, 0.2), 1.0,
+                          zc.TruncationSpec(7, 7, 5))
+    return {"SweepResult": sweep, "SweepCell": cell, "ZenoSample": cell.sample,
+            "PropagationReport": report}
+
+
+@pytest.mark.parametrize("owner,name", [(owner, name) for owner, names in RESULT_READS.items()
+                                        for name in names])
+def test_result_attributes_resolve(results, owner, name):
+    assert type(results[owner]).__name__ == owner
+    assert hasattr(results[owner], name)

@@ -24,8 +24,11 @@ from zenocoupler import (
     validate_against_oracle,
     zeno_sample,
 )
+from zenocoupler import sweep
 from zenocoupler.coefficients import SERIES_SWITCH_PHASE
-from zenocoupler.sweep import SECONDARY_AXES, _cell_parameters
+from zenocoupler.errors import DegenerateParameters
+from zenocoupler.observables import _b2_numbers, _signs
+from zenocoupler.sweep import SECONDARY_AXES, _cell_parameters, z_from_gamma_z
 
 from conftest import random_params
 
@@ -327,7 +330,8 @@ class TestFindTransitions:
             find_transitions(run_sweep(simple_spec(count=1)))
 
     def test_matches_pair_loop_on_random_grids(self, rng):
-        kinds = [Classification.ZENO, Classification.ANTI_ZENO, Classification.NULL, None]
+        # columnar results with random signs and failed rows, checked
+        # against the pair loop over their cells
         for _ in range(200):
             ns, nz = (int(n) for n in rng.integers(1, 7, size=2))
             if ns * nz < 2:
@@ -339,17 +343,168 @@ class TestFindTransitions:
                 secondary_name="phi",
                 secondary_axis=AxisSpec(0.0, 1.0, ns),
             )
-            cells = []
-            for si in range(ns):
-                for zi in range(nz):
-                    kind = kinds[rng.integers(len(kinds))]
-                    sample = None if kind is None else ZenoSample(0.0, 0.0, 0.0, 0.0, kind)
-                    status = "ok" if kind is not None else "degenerate"
-                    cells.append(SweepCell(si, zi, None, 0.0, sample, status))
-            # the cell list need not be in grid order
-            shuffled = [cells[i] for i in rng.permutation(len(cells))]
-            result = SweepResult(spec=spec, cells=shuffled)
-            assert find_transitions(result) == pair_loop(cells, ns, nz)
+            failed = rng.random(ns) < 0.25
+            sign = rng.integers(-1, 2, size=(ns, nz)).astype(np.int8)
+            sign[failed] = 0
+            numbers = np.where(failed[:, None], np.nan, sign.astype(float))
+            result = SweepResult(
+                spec, spec.z_axis.values(), tuple(spec.secondary_axis.values().tolist()),
+                numbers, numbers, numbers, numbers, sign,
+                tuple("degenerate" if f else "ok" for f in failed),
+                tuple("resonance" if f else "" for f in failed),
+            )
+            assert find_transitions(result) == pair_loop(result.cells, ns, nz)
+
+    def test_builds_only_the_cells_it_returns(self):
+        result = run_sweep(preset_sweep("fig3"))
+        brackets = find_transitions(result)
+        assert brackets and "cells" not in vars(result)  # the view is unbuilt
+        ends = {id(cell) for pair in brackets for cell in pair}
+        assert sum(cell is not None for cell in result._built) == len(ends)
+        assert brackets == pair_loop(result.cells, result.n_secondary, result.n_z)
+        # the view reuses the cells already returned
+        for pair in brackets:
+            for cell in pair:
+                assert result.cells[cell.secondary_index * result.n_z + cell.z_index] is cell
+
+
+def eager_cells(spec):
+    """The cells of `spec` built one by one, each ok cell from its row's
+    `_b2_numbers` and the scalar `classify`."""
+    gamma_z = spec.z_axis.values()
+    if spec.secondary_axis is None:
+        sec_values = [None]
+    else:
+        sec_values = spec.secondary_axis.values().tolist()
+    cells = []
+    for si, sv in enumerate(sec_values):
+        try:
+            params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
+            z = z_from_gamma_z(gamma_z, params.gamma_nl)
+        except (DegenerateParameters, InvalidParameters) as exc:
+            status = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
+            cells.extend(SweepCell(si, zi, sv, gz, None, status, str(exc))
+                         for zi, gz in enumerate(gamma_z.tolist()))
+            continue
+        numbers = zip(gamma_z.tolist(), z.tolist(),
+                      *(v.tolist() for v in _b2_numbers(params, inputs, z)))
+        cells.extend(
+            SweepCell(si, zi, sv, gz,
+                      ZenoSample(zz, nb, nr, d, classify(d, spec.classification_tol)), "ok")
+            for zi, (gz, zz, nb, nr, d) in enumerate(numbers)
+        )
+    return cells
+
+
+def random_spec(rng, name):
+    """A small random grid on a secondary axis; the delta_k and k_magnitude
+    axes may cross the resonance and k_magnitude may start at k = 0, so
+    some rows fail."""
+    p = random_params(rng)
+    return SweepSpec(
+        params=p,
+        inputs=CoherentInputs(*(
+            complex(rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            for _ in range(3)
+        )),
+        z_axis=AxisSpec(0.0, rng.uniform(0.01, 2.0), 7),
+        secondary_name=name,
+        secondary_axis={
+            "delta_k": AxisSpec(0.0, 4.0 * abs(p.k), 5),
+            "k_magnitude": AxisSpec(0.0, 4.0 * abs(p.delta_k) + 0.1, 5),
+            "phi": AxisSpec(0.0, 2 * np.pi, 5),
+            "gamma_nl": AxisSpec(0.0, 0.05, 5),
+        }[name],
+    )
+
+
+class TestColumnarResult:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+    def test_preset_cells_equal_eager_build(self, name):
+        spec = preset_sweep(name)
+        assert run_sweep(spec).cells == eager_cells(spec)
+
+    def test_random_cells_equal_eager_build(self, rng):
+        failed = 0
+        for i in range(24):
+            spec = random_spec(rng, SECONDARY_AXES[i % len(SECONDARY_AXES)])
+            result = run_sweep(spec)
+            assert result.cells == eager_cells(spec)
+            failed += sum(status != "ok" for status in result.row_status)
+        assert failed  # failed rows were covered
+
+    def test_fields(self):
+        spec = SweepSpec(
+            params=CouplerParams(k=0.3, gamma_nl=0.001, delta_k=0.2),
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.0, 0.1, 4),
+            secondary_name="k_magnitude",
+            secondary_axis=AxisSpec(0.0, 0.2, 3),
+        )
+        result = run_sweep(spec)
+        assert result.gamma_z.tolist() == spec.z_axis.values().tolist()
+        assert result.secondary_values == (0.0, 0.1, 0.2)
+        assert (result.n_secondary, result.n_z) == (3, 4)
+        assert result.row_status == ("invalid", "degenerate", "ok")
+        assert result.row_message[2] == "" and "resonance" in result.row_message[1]
+        assert result.sign.dtype == np.int8
+        for name in ("z", "n_b2", "n_b2_uncoupled", "delta_n_z", "sign"):
+            column = getattr(result, name)
+            assert column.shape == (3, 4)
+            assert np.isnan(column[:2]).all() if name != "sign" else not column[:2].any()
+            with pytest.raises(ValueError):
+                column[2, 0] = 0
+        with pytest.raises(ValueError):
+            result.gamma_z[0] = 1.0
+        assert run_sweep(simple_spec(count=2)).secondary_values == (None,)
+
+    def test_signs_match_classify(self, rng):
+        tol = 1e-3
+        d = np.concatenate([rng.uniform(-2e-3, 2e-3, 200), [tol, -tol, 0.0, -0.0]])
+        want = [{Classification.ZENO: -1, Classification.NULL: 0,
+                 Classification.ANTI_ZENO: 1}[classify(v, tol)] for v in d.tolist()]
+        assert _signs(d, tol).tolist() == want
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_tol_raises_on_ok_rows_only(self, tol):
+        with pytest.raises(InvalidParameters, match="tol"):
+            run_sweep(simple_spec(classification_tol=tol))
+        # no ok cell is classified, as when each cell called classify
+        all_failed = SweepSpec(
+            params=FIG2_PARAMS, inputs=FIG2_INPUTS, z_axis=AxisSpec(0.0, 0.1, 2),
+            secondary_name="k_magnitude", secondary_axis=AxisSpec(0.0, 0.0, 1),
+            classification_tol=tol,
+        )
+        assert run_sweep(all_failed).row_status == ("invalid",)
+
+    def test_non_finite_zeno_parameter_raises(self, monkeypatch):
+        def nan_numbers(h, h2p, inputs):
+            nan = np.full(np.shape(h2p), np.nan)
+            return nan, nan, nan
+
+        monkeypatch.setattr(sweep, "_b2_combine", nan_numbers)
+        with pytest.raises(InvalidParameters, match="non-finite"):
+            run_sweep(simple_spec())
+
+    def test_phi_rows_share_one_evaluation(self, monkeypatch):
+        spec = simple_spec(count=9, secondary_name="phi",
+                           secondary_axis=AxisSpec(0.0, 2 * np.pi, 5))
+        calls = [0]
+        evaluate = sweep._b2_coefficients
+
+        def spy(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(sweep, "_b2_coefficients", spy)
+        result = run_sweep(spec)
+        assert calls[0] == 1
+        for si, phi in enumerate(result.secondary_values):
+            params, inputs = _cell_parameters(spec, "phi", phi)
+            row = _b2_numbers(params, inputs, result.z[si])
+            for got, want in zip(
+                    (result.n_b2, result.n_b2_uncoupled, result.delta_n_z), row):
+                assert np.array_equal(got[si], want)
 
 
 class TestValidateAgainstOracle:
