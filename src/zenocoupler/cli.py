@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import re
 import sys
@@ -517,7 +518,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    caller, `main` included: parsing leaves it unchanged, and no caller may
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="zenocoupler",
         description=__doc__,

@@ -13,10 +13,11 @@ of A followed by the diagonal frame phase is therefore exact up to
 rounding, with no step size or tolerance to choose.
 
 The exponential acts on the state through a Chebyshev expansion (Tal-Ezer
-& Kosloff, J. Chem. Phys. 81 (1984) 3967).  A is applied as one gather
-and one row sum over the ladder table of `kernels`.  The table's
-Gershgorin discs give an interval [c - h, c + h] holding the spectrum of
-the Hermitian A dz, so X = (A dz - c)/h has its spectrum in [-1, 1] and
+& Kosloff, J. Chem. Phys. 81 (1984) 3967).  A is applied as one gather,
+one product and one sum over the five terms of the (5, D) ladder table of
+`kernels`.  The table's Gershgorin discs give an interval [c - h, c + h]
+holding the spectrum of the Hermitian A dz, so X = (A dz - c)/h has its
+spectrum in [-1, 1] and
 
     exp(i A dz) = e^{ic} (J_0(h) + 2 sum_{n>=1} i^n J_n(h) T_n(X))
 
@@ -29,6 +30,16 @@ to at most 1e-16: at most 2e-16 is left out in all.  N - 1 matvecs of
 the three-term recurrence T_{n+1} = 2X T_n - T_{n-1} give the step.  The
 couplings, dz, c and h are folded into the table of 2X once per
 propagation.
+
+An oracle point needs the full system and its probe-free reference (k = 0,
+alpha = 0).  The reference's coherent input is exactly zero off n_a = 0,
+and with k = 0 nothing leaves that slice, so it rides along as one extra
+n_a slice: the pair grid (n_a_max + 2, d1, d2) runs one recurrence on the
+two uncoupled blocks.  The slice's a-terms have zero magnitudes, so the
+full system's coefficients serve both blocks, and each slice row's
+Gershgorin disc lies inside that of the full row with the same (n_b1,
+n_b2).  The interval, and so the degree, are those of the full run: the
+reference's steps_used equals the full run's.
 """
 
 from __future__ import annotations
@@ -63,7 +74,10 @@ _CHEBYSHEV_MAX_DEGREE = 100_000
 # magnitudes, 80 B, cached for the last 4 truncations used), its complex
 # values and the gathered amplitudes of one matvec (80 B each), and five
 # complex state vectors (the state, three Chebyshev terms and one scaled
-# term, 16 B each); about 1.3 GB at the limit.
+# term, 16 B each); about 1.3 GB at the limit.  An oracle point also
+# caches the pair table and runs the last 240 B per state on the pair grid,
+# which is (n_a_max + 2) / (n_a_max + 1) times the basis: about 560 B per
+# basis state at n_a_max = 1, about 2.2 GB at the limit.
 MAX_BASIS_DIMENSION = 4_000_000
 
 
@@ -110,7 +124,9 @@ class FockStateVector:
 @dataclass(frozen=True)
 class PropagationReport:
     final_state: FockStateVector
-    steps_used: int  # generator applications (matvecs); 0 at z = 0
+    # generator applications (matvecs); 0 at z = 0.  An oracle pair's
+    # reference shares the full run's recurrence, and so its count.
+    steps_used: int
     norm_drift: float
     conservation_drift: float
     # (<N_a>, <N_b1>, <N_b2>) of final_state, as mode_expectations gives them
@@ -118,11 +134,11 @@ class PropagationReport:
 
 
 class _Workspace:
-    """Ladder table and occupation grids of one truncation (read-only)."""
+    """Ladder tables and occupation grids of one truncation (read-only)."""
 
     def __init__(self, truncation: TruncationSpec):
-        da, d1, d2 = truncation.shape
-        self.cols, self.mags = generator_table(truncation.shape)
+        self.shape = da, d1, d2 = truncation.shape
+        self.cols, self.mags = generator_table(self.shape)
         na, n1, n2 = np.ogrid[0:da, 0:d1, 0:d2]
         self.number_a = na.astype(float)
         self.number_b1 = n1.astype(float)
@@ -130,6 +146,18 @@ class _Workspace:
         for table in (self.cols, self.mags, self.number_a, self.number_b1,
                       self.number_b2):
             table.flags.writeable = False
+
+    @functools.cached_property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, mags) of the pair grid: the full table, then the table of
+        one n_a = 0 slice with its columns offset past the full grid."""
+        _, d1, d2 = self.shape
+        slice_cols, slice_mags = generator_table((1, d1, d2))
+        dim = self.cols.shape[1]
+        cols = np.concatenate((self.cols, slice_cols + dim), axis=1)
+        mags = np.concatenate((self.mags, slice_mags), axis=1)
+        cols.flags.writeable = mags.flags.writeable = False
+        return cols, mags
 
 
 @functools.lru_cache(maxsize=4)
@@ -147,14 +175,14 @@ def _coherent_amplitudes(mu: complex, n_max: int) -> tuple[np.ndarray, float]:
     return c, max(tail, 0.0)
 
 
-def build_coherent_state(
+def _coherent_factors(
     inputs: CoherentInputs, truncation: TruncationSpec
-) -> FockStateVector:
-    """Tensor product of truncated coherent expansions, renormalized."""
+) -> tuple[list[np.ndarray], list[float]]:
+    """Truncated coherent expansions of the modes (a, b1, b2) and the
+    probability mass each keeps; raises when a tail exceeds the limit."""
     mus = (inputs.alpha, inputs.beta, inputs.gamma)
     maxes = (truncation.n_a_max, truncation.n_b1_max, truncation.n_b2_max)
-    vecs = []
-    kept_mass = 1.0
+    vecs, kept = [], []
     for mode, (mu, n_max) in enumerate(zip(mus, maxes)):
         c, tail = _coherent_amplitudes(complex(mu), n_max)
         if tail > TRUNCATION_LOSS_LIMIT:
@@ -162,13 +190,25 @@ def build_coherent_state(
                 f"mode {('a', 'b1', 'b2')[mode]} tail probability {tail:.3e} "
                 f"exceeds {TRUNCATION_LOSS_LIMIT:.0e} at cutoff {n_max}"
             )
-        kept_mass *= 1.0 - tail
         vecs.append(c)
+        kept.append(1.0 - tail)
+    return vecs, kept
+
+
+def _product_state(vecs, kept, truncation: TruncationSpec) -> FockStateVector:
+    """Renormalized tensor product of per-mode expansions."""
     psi = np.einsum("i,j,k->ijk", *vecs).ravel()
     psi /= np.linalg.norm(psi)
     return FockStateVector(
-        amplitudes=psi, truncation=truncation, norm_deficit=1.0 - kept_mass
+        amplitudes=psi, truncation=truncation, norm_deficit=1.0 - math.prod(kept)
     )
+
+
+def build_coherent_state(
+    inputs: CoherentInputs, truncation: TruncationSpec
+) -> FockStateVector:
+    """Tensor product of truncated coherent expansions, renormalized."""
+    return _product_state(*_coherent_factors(inputs, truncation), truncation)
 
 
 def _chebyshev_degree(h: float, tol: float) -> int:
@@ -230,12 +270,16 @@ def _chebyshev_coefficients(h: float) -> list[complex]:
 
 def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
     """psi <- exp(i dz (G(0)/hbar - dk N_b2)) psi in place via a Chebyshev
-    expansion; returns the number of generator applications."""
+    expansion; returns the number of generator applications.  psi is the
+    truncation's grid, or its pair grid (one more n_a slice: the probe-free
+    reference, on which the k terms vanish)."""
     coeffs = term_coefficients(-delta_k, -complex(k), -complex(gamma_nl))
-    # spectral interval [lo, hi] of A dz from the table's Gershgorin discs,
-    # scaled by dz last: a z too long overflows to inf there, not to NaN
-    diag = -delta_k * ws.mags[:, 0]
-    radius = ws.mags[:, 1:] @ np.abs(coeffs[1:])
+    cols, mags = (ws.cols, ws.mags) if len(psi) == len(ws.number_a) else ws.pair_table
+    # spectral interval [lo, hi] of A dz from the full table's Gershgorin
+    # discs (they hold the pair slice's), scaled by dz last: a z too long
+    # overflows to inf there, not to NaN
+    diag = -delta_k * ws.mags[0]
+    radius = np.abs(coeffs[1:]) @ ws.mags[1:]
     lo = dz * float(np.min(diag - radius))
     hi = dz * float(np.max(diag + radius))
     center, half_width = (hi + lo) / 2, (hi - lo) / 2
@@ -246,16 +290,16 @@ def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
         return 0
     a = [phase * a_n for a_n in a]
     # table of 2X, X = (A dz - center) / half_width; column 0 is the diagonal
-    vals = ws.mags * (coeffs * (2.0 * dz / half_width))
-    vals[:, 0] -= 2.0 * center / half_width
+    vals = mags * (coeffs * (2.0 * dz / half_width))[:, None]
+    vals[0] -= 2.0 * center / half_width
     prev = psi.copy()                                    # T_0
-    cur = _apply_kernel(prev, np.empty_like(psi), ws.cols, vals)
+    cur = _apply_kernel(prev, np.empty_like(psi), cols, vals)
     cur *= 0.5                                           # T_1
     nxt = np.empty_like(psi)
     psi *= a[0]
     psi += a[1] * cur
     for a_n in a[2:]:
-        _apply_kernel(cur, nxt, ws.cols, vals)
+        _apply_kernel(cur, nxt, cols, vals)
         nxt -= prev                                      # T_{n+1} = 2X T_n - T_{n-1}
         psi += a_n * nxt
         prev, cur, nxt = cur, nxt, prev
@@ -265,15 +309,46 @@ def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
 def _expectations(ws, psi):
     p = np.abs(psi) ** 2
     return (
-        float(np.sum(ws.number_a * p)),
-        float(np.sum(ws.number_b1 * p)),
-        float(np.sum(ws.number_b2 * p)),
+        float((ws.number_a * p).sum()),
+        float((ws.number_b1 * p).sum()),
+        float((ws.number_b2 * p).sum()),
     )
 
 
 def _boundary_mass(psi) -> float:
     p = np.abs(psi) ** 2
-    return float(np.sum(p[-1, :, :]) + np.sum(p[:, -1, :]) + np.sum(p[:, :, -1]))
+    return float(p[-1, :, :].sum() + p[:, -1, :].sum() + p[:, :, -1].sum())
+
+
+def _report(ws, state0: FockStateVector, psi, matvecs: int) -> PropagationReport:
+    """Report of state0 propagated to the grid psi (frame phase applied,
+    psi None at z = 0) in `matvecs` generator applications; raises when the
+    boundary occupation exceeds the loss limit."""
+    n0 = _expectations(ws, state0.grid())
+    if psi is None:
+        return PropagationReport(
+            final_state=state0, steps_used=0, norm_drift=0.0,
+            conservation_drift=0.0, expectations=n0,
+        )
+    leak = _boundary_mass(psi)
+    if leak > TRUNCATION_LOSS_LIMIT:
+        raise ExcessiveTruncationLoss(
+            f"boundary-occupation probability {leak:.3e} exceeds "
+            f"{TRUNCATION_LOSS_LIMIT:.0e}; increase the cutoffs"
+        )
+    na, n1, n2 = _expectations(ws, psi)
+    na0, n10, n20 = n0
+    final = FockStateVector(
+        amplitudes=psi.ravel(), truncation=state0.truncation,
+        norm_deficit=state0.norm_deficit,
+    )
+    return PropagationReport(
+        final_state=final,
+        steps_used=matvecs,
+        norm_drift=abs(float(np.linalg.norm(final.amplitudes)) - 1.0),
+        conservation_drift=abs((na + n1 + 2 * n2) - (na0 + n10 + 2 * n20)),
+        expectations=(na, n1, n2),
+    )
 
 
 def _propagate_raw(
@@ -287,36 +362,12 @@ def _propagate_raw(
     check_length(z_final)
     state0 = build_coherent_state(inputs, truncation)
     ws = _workspace(truncation)
-    psi = state0.grid().copy()
-    n0 = _expectations(ws, psi)
-
     if z_final == 0:
-        return PropagationReport(
-            final_state=state0, steps_used=0, norm_drift=0.0,
-            conservation_drift=0.0, expectations=n0,
-        )
-
+        return _report(ws, state0, None, 0)
+    psi = state0.grid().copy()
     matvecs = _expm_step(ws, k, gamma_nl, delta_k, z_final, psi)
     psi *= np.exp(1j * delta_k * z_final * ws.number_b2)
-
-    leak = _boundary_mass(psi)
-    if leak > TRUNCATION_LOSS_LIMIT:
-        raise ExcessiveTruncationLoss(
-            f"boundary-occupation probability {leak:.3e} exceeds "
-            f"{TRUNCATION_LOSS_LIMIT:.0e}; increase the cutoffs"
-        )
-    na, n1, n2 = _expectations(ws, psi)
-    na0, n10, n20 = n0
-    final = FockStateVector(
-        amplitudes=psi.ravel(), truncation=truncation, norm_deficit=state0.norm_deficit
-    )
-    return PropagationReport(
-        final_state=final,
-        steps_used=matvecs,
-        norm_drift=abs(float(np.linalg.norm(psi.ravel())) - 1.0),
-        conservation_drift=abs((na + n1 + 2 * n2) - (na0 + n10 + 2 * n20)),
-        expectations=(na, n1, n2),
-    )
+    return _report(ws, state0, psi, matvecs)
 
 
 def propagate(
@@ -343,15 +394,26 @@ def _oracle_pair(
     truncation: TruncationSpec,
 ) -> tuple[PropagationReport, PropagationReport]:
     """Reports of the full system and of its probe-free reference (k=0,
-    alpha=0), whose <N_b2> difference is the exact Zeno parameter."""
-    full = _propagate_raw(
-        params.k, params.gamma_nl, params.delta_k, inputs, z_final, truncation
-    )
-    ref_inputs = CoherentInputs(alpha=0.0, beta=inputs.beta, gamma=inputs.gamma)
-    ref = _propagate_raw(
-        0.0, params.gamma_nl, params.delta_k, ref_inputs, z_final, truncation
-    )
-    return full, ref
+    alpha=0), whose <N_b2> difference is the exact Zeno parameter.  Both
+    run in one recurrence on the pair grid; the reference's final_state is
+    placed back on the full grid, zero off n_a = 0."""
+    check_length(z_final)
+    vecs, kept = _coherent_factors(inputs, truncation)
+    da = truncation.n_a_max + 1
+    vacuum = np.zeros(da, dtype=complex)
+    vacuum[0] = 1.0
+    full0 = _product_state(vecs, kept, truncation)
+    # alpha = 0 keeps all of mode a's mass; b1 and b2 are the full run's
+    ref0 = _product_state([vacuum] + vecs[1:], [1.0] + kept[1:], truncation)
+    ws = _workspace(truncation)
+    if z_final == 0:
+        return _report(ws, full0, None, 0), _report(ws, ref0, None, 0)
+    psi = np.concatenate((full0.grid(), ref0.grid()[:1]))
+    matvecs = _expm_step(ws, params.k, params.gamma_nl, params.delta_k, z_final, psi)
+    psi *= np.exp(1j * params.delta_k * z_final * ws.number_b2)
+    ref = np.zeros_like(full0.grid())
+    ref[0] = psi[da]
+    return _report(ws, full0, psi[:da], matvecs), _report(ws, ref0, ref, matvecs)
 
 
 def oracle_zeno_parameter(

@@ -235,6 +235,18 @@ class TestCmdSweep:
         assert rows[0]["axis_name"] == "phi"
         assert capsys.readouterr().err == ""
 
+    def test_overflowing_length_row_is_invalid(self, capsys):
+        # gamma_z / gamma_nl overflows z on the first row only; the other
+        # rows still run, and no RuntimeWarning escapes (tier-1 makes one an
+        # error)
+        code, out = run_cli(["sweep", "--axis", "gamma_nl:1e-310:0.001:3",
+                             "--gamma-z", "0:0.1:2"])
+        assert code == 0
+        _, rows = parse_table(out)
+        assert [r["status"] for r in rows] == ["invalid"] * 2 + ["ok"] * 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("overflows z" in line for line in err)
+
     def test_failed_cells_say_why_on_stderr(self, capsys):
         code, out = run_cli(["sweep", "--gamma-z", "0:0.1:2", "--axis", "k_magnitude:0:0.3:2"])
         assert code == 0
@@ -330,6 +342,18 @@ def test_tol_is_usage_error_outside_zeno_and_sweep(command, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_settings_do_not_leak_between_calls(self):
+        # main parses every call with one shared parser; a flag given to one
+        # call must not become a default of the next
+        want = run_cli(["zeno", "--gamma-z", "0.01:0.1:3"])
+        flagged = run_cli(["zeno", "--gamma-z", "0.01:0.1:3", "--gamma", "-1",
+                           "--k", "0.2", "--tol", "1e-3"])
+        assert flagged != want
+        assert run_cli(["zeno", "--gamma-z", "0.01:0.1:3"]) == want
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestConfigFile:
     def test_config_and_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -411,17 +435,18 @@ class TestCmdValidate:
 
     def test_four_oracle_propagations(self, monkeypatch):
         # the gamma_nl = 1e-3 drift rows come from the same full-system run
-        # as its Zeno parameter: two (full, reference) pairs in all
+        # as its Zeno parameter: two (full, reference) pairs in all, each
+        # pair one Chebyshev recurrence on the pair grid
         calls = []
-        raw = fock._propagate_raw
+        step = fock._expm_step
 
         def spy(*args):
             calls.append(args)
-            return raw(*args)
+            return step(*args)
 
-        monkeypatch.setattr(fock, "_propagate_raw", spy)
+        monkeypatch.setattr(fock, "_expm_step", spy)
         code, out = run_cli(["validate"])
-        assert code == 0 and len(calls) == 4
+        assert code == 0 and len(calls) == 2
         monkeypatch.undo()
 
         # each oracle row as the separate propagate / oracle_zeno_parameter

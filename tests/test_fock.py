@@ -52,10 +52,10 @@ def _kron_generator(cutoffs, k, g, dk):
 def _table_generator(cutoffs, k, g, dk):
     """The kernels table of G(0) - dk N_b2 as a dense matrix."""
     ws = fock._workspace(TruncationSpec(*cutoffs))
-    vals = ws.mags * kernels.term_coefficients(-dk, -k, -g)
-    dim = len(vals)
+    vals = ws.mags * kernels.term_coefficients(-dk, -k, -g)[:, None]
+    dim = vals.shape[1]
     dense = np.zeros((dim, dim), dtype=complex)
-    np.add.at(dense, (np.repeat(np.arange(dim), vals.shape[1]), ws.cols.ravel()),
+    np.add.at(dense, (np.tile(np.arange(dim), len(vals)), ws.cols.ravel()),
               vals.ravel())
     return dense
 
@@ -64,7 +64,7 @@ def _kernel_apply(trunc, k, g, dk, psi):
     """kernels.apply_generator with the table of G(0) - dk N_b2 on the flat
     state psi, as propagation applies it."""
     ws = fock._workspace(trunc)
-    vals = ws.mags * kernels.term_coefficients(-dk, -k, -g)
+    vals = ws.mags * kernels.term_coefficients(-dk, -k, -g)[:, None]
     x = psi.reshape(trunc.shape)
     return kernels.apply_generator(x, np.empty_like(x), ws.cols, vals).ravel()
 
@@ -194,6 +194,11 @@ class TestKernelBinding:
             shapes.clear()
             propagate(FIG2_PARAMS, inputs, 20.0, trunc)
             assert len(shapes) > 1 and set(shapes) == {trunc.shape}
+            # an oracle point runs on the pair grid: one more n_a slice
+            shapes.clear()
+            oracle_zeno_parameter(FIG2_PARAMS, inputs, 20.0, trunc)
+            da, d1, d2 = trunc.shape
+            assert len(shapes) > 1 and set(shapes) == {(da + 1, d1, d2)}
 
 
 class TestPropagate:
@@ -339,6 +344,74 @@ class TestWorkCount:
         # Bessel terms below the tolerance are dropped down to 172
         r = propagate(FIG2_PARAMS, SMALL_INPUTS, 50.0, TruncationSpec(12, 12, 8))
         assert r.steps_used == matvecs[0] <= 175
+
+
+def _separate_pair(params, inputs, z, trunc):
+    """The full and probe-free reference runs as two propagations."""
+    ref_inputs = CoherentInputs(alpha=0.0, beta=inputs.beta, gamma=inputs.gamma)
+    return (fock._propagate_raw(params.k, params.gamma_nl, params.delta_k, inputs, z, trunc),
+            fock._propagate_raw(0.0, params.gamma_nl, params.delta_k, ref_inputs, z, trunc))
+
+
+def _assert_reports_match(got, want):
+    assert np.max(np.abs(got.final_state.amplitudes - want.final_state.amplitudes)) <= 1e-14
+    assert np.max(np.abs(np.subtract(got.expectations, want.expectations))) <= 1e-14
+    assert got.final_state.norm_deficit == want.final_state.norm_deficit
+
+
+class TestOraclePair:
+    """The full system and its probe-free reference in one recurrence on
+    the pair grid, against two separate propagations."""
+
+    @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS)
+    def test_matches_separate_propagations(self, rng, monkeypatch, cutoffs):
+        # random inputs fill these small grids to their edges; the loss
+        # limit is lifted so that every draw compares the algebra
+        monkeypatch.setattr(fock, "TRUNCATION_LOSS_LIMIT", math.inf)
+        trunc = TruncationSpec(*cutoffs)
+        for i in range(5):
+            k, g, dk = _random_couplings(rng)
+            params = CouplerParams(k=k, gamma_nl=g, delta_k=dk)
+            inputs = CoherentInputs(*(complex(*rng.normal(scale=0.5, size=2))
+                                      for _ in range(3)))
+            z = 0.0 if i == 0 else float(rng.uniform(0.0, 3.0))
+            full, ref = fock._oracle_pair(params, inputs, z, trunc)
+            want_full, want_ref = _separate_pair(params, inputs, z, trunc)
+            _assert_reports_match(full, want_full)
+            _assert_reports_match(ref, want_ref)
+            # one recurrence: the reference takes the full run's degree
+            assert ref.steps_used == full.steps_used == want_full.steps_used
+
+    def test_zero_couplings(self):
+        # gamma_nl = dk = 0: the reference alone has half-width h = 0 (a bare
+        # phase); in the pair it takes the probe's interval
+        params = CouplerParams(k=0.1, gamma_nl=0.0, delta_k=0.0)
+        trunc = TruncationSpec(12, 12, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full, ref = fock._oracle_pair(params, SMALL_INPUTS, 50.0, trunc)
+        want_full, want_ref = _separate_pair(params, SMALL_INPUTS, 50.0, trunc)
+        _assert_reports_match(full, want_full)
+        _assert_reports_match(ref, want_ref)
+        assert want_ref.steps_used == 0 < ref.steps_used
+
+    def test_reference_stays_at_zero_n_a(self):
+        trunc = TruncationSpec(10, 10, 6)
+        _, ref = fock._oracle_pair(FIG2_PARAMS, SMALL_INPUTS, 50.0, trunc)
+        grid = ref.final_state.grid()
+        assert grid.shape == trunc.shape
+        assert np.count_nonzero(grid[1:]) == 0
+        assert ref.expectations[0] == 0
+
+    def test_reference_leak_detected(self):
+        # the probe pulls b1 photons into a (the Zeno effect), so only the
+        # probe-free reference pumps b2 past its 2-photon cutoff
+        params = CouplerParams(k=1.0, gamma_nl=0.05, delta_k=0.0)
+        inputs = CoherentInputs(alpha=0.0, beta=0.5, gamma=0.0)
+        trunc = TruncationSpec(8, 8, 2)
+        propagate(params, inputs, 5.0, trunc)  # the full system alone passes
+        with pytest.raises(ExcessiveTruncationLoss):
+            fock._oracle_pair(params, inputs, 5.0, trunc)
 
 
 class TestOracleZenoParameter:

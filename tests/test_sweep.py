@@ -225,6 +225,32 @@ class TestRunSweep:
         assert "k must be nonzero" in cells[0].message
         assert "resonance" in cells[2].message
 
+    def test_overflowing_length_row_is_invalid(self):
+        # 0.1 / 1e-310 overflows z; that row fails alone, with no
+        # RuntimeWarning from the division
+        spec = SweepSpec(
+            params=FIG2_PARAMS,
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.0, 0.1, 2),
+            secondary_name="gamma_nl",
+            secondary_axis=AxisSpec(1e-310, 0.001, 3),
+        )
+        result = run_sweep(spec)
+        assert result.row_status == ("invalid", "ok", "ok")
+        assert "overflows z" in result.row_message[0]
+        assert np.all(np.isnan(result.z[0])) and np.all(result.sign[0] == 0)
+        for cell in result.cells[2:]:
+            params = CouplerParams(k=0.1, gamma_nl=cell.secondary_value, delta_k=1e-4)
+            want = zeno_sample(params, FIG2_INPUTS, cell.gamma_z / cell.secondary_value)
+            assert cell.sample == want
+
+    def test_length_overflow_raises(self):
+        with pytest.raises(InvalidParameters, match="overflows z"):
+            z_from_gamma_z(np.array([0.0, 0.1]), 1e-310)
+        with pytest.raises(InvalidParameters, match="overflows z"):
+            z_from_gamma_z(1e300, 1e-10)
+        assert z_from_gamma_z(0.0, 1e-310) == 0.0
+
     def test_rows_match_scalar_cells(self, rng):
         # Each row is one array evaluation; every cell must equal zeno_sample
         # at its own z up to rounding, on the scale of the terms it sums.
