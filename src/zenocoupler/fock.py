@@ -69,16 +69,16 @@ _CHEBYSHEV_TAIL_TOL = 1e-16
 # NonConvergence instead of an unbounded run.
 _CHEBYSHEV_MAX_DEGREE = 100_000
 
-# Largest basis a TruncationSpec may span.  A propagation peaks at about
-# 320 B per basis state: the ladder table (5 int64 columns and 5 float
-# magnitudes, 80 B, cached for the last 4 truncations used), its complex
-# values and the gathered amplitudes of one matvec (80 B each), and five
-# complex state vectors (the state, three Chebyshev terms and one scaled
-# term, 16 B each); about 1.3 GB at the limit.  An oracle point also
-# caches the pair table and runs the last 240 B per state on the pair grid,
-# which is (n_a_max + 2) / (n_a_max + 1) times the basis: about 560 B per
-# basis state at n_a_max = 1, about 2.2 GB at the limit.
-MAX_BASIS_DIMENSION = 4_000_000
+# Largest pair grid (n_a_max + 2, d1, d2) a TruncationSpec may span: an
+# oracle point runs on it, one n_a slice more than the truncation's grid.
+# The point peaks at about 400 B per pair-grid state: the truncation's
+# ladder table and the pair table (5 int64 columns and 5 float magnitudes
+# each, 80 B per state they span, both cached for the last 4 truncations
+# used), the complex values and the gathered amplitudes of one matvec (80 B
+# each), and five complex state vectors (the state, three Chebyshev terms
+# and one scaled term, 16 B each); about 1.3 GB at the limit.  A
+# propagation on the truncation's own grid takes less.
+MAX_BASIS_DIMENSION = 3_200_000
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,11 @@ class TruncationSpec:
     def __post_init__(self):
         for cutoff in (self.n_a_max, self.n_b1_max, self.n_b2_max):
             check_count(cutoff, "every cutoff", 1)
-        if self.dimension > MAX_BASIS_DIMENSION:
+        pair_dimension = (self.n_a_max + 2) * (self.n_b1_max + 1) * (self.n_b2_max + 1)
+        if pair_dimension > MAX_BASIS_DIMENSION:
             raise InvalidParameters(
-                f"basis dimension {self.dimension} exceeds the memory guard "
+                f"basis dimension {self.dimension} ({pair_dimension} on the "
+                f"oracle's pair grid) exceeds the memory guard "
                 f"({MAX_BASIS_DIMENSION})"
             )
 
@@ -175,14 +177,14 @@ def _coherent_amplitudes(mu: complex, n_max: int) -> tuple[np.ndarray, float]:
     return c, max(tail, 0.0)
 
 
-def _coherent_factors(
+def build_coherent_state(
     inputs: CoherentInputs, truncation: TruncationSpec
-) -> tuple[list[np.ndarray], list[float]]:
-    """Truncated coherent expansions of the modes (a, b1, b2) and the
-    probability mass each keeps; raises when a tail exceeds the limit."""
+) -> FockStateVector:
+    """Tensor product of truncated coherent expansions, renormalized."""
     mus = (inputs.alpha, inputs.beta, inputs.gamma)
     maxes = (truncation.n_a_max, truncation.n_b1_max, truncation.n_b2_max)
-    vecs, kept = [], []
+    vecs = []
+    kept_mass = 1.0
     for mode, (mu, n_max) in enumerate(zip(mus, maxes)):
         c, tail = _coherent_amplitudes(complex(mu), n_max)
         if tail > TRUNCATION_LOSS_LIMIT:
@@ -190,25 +192,13 @@ def _coherent_factors(
                 f"mode {('a', 'b1', 'b2')[mode]} tail probability {tail:.3e} "
                 f"exceeds {TRUNCATION_LOSS_LIMIT:.0e} at cutoff {n_max}"
             )
+        kept_mass *= 1.0 - tail
         vecs.append(c)
-        kept.append(1.0 - tail)
-    return vecs, kept
-
-
-def _product_state(vecs, kept, truncation: TruncationSpec) -> FockStateVector:
-    """Renormalized tensor product of per-mode expansions."""
     psi = np.einsum("i,j,k->ijk", *vecs).ravel()
     psi /= np.linalg.norm(psi)
     return FockStateVector(
-        amplitudes=psi, truncation=truncation, norm_deficit=1.0 - math.prod(kept)
+        amplitudes=psi, truncation=truncation, norm_deficit=1.0 - kept_mass
     )
-
-
-def build_coherent_state(
-    inputs: CoherentInputs, truncation: TruncationSpec
-) -> FockStateVector:
-    """Tensor product of truncated coherent expansions, renormalized."""
-    return _product_state(*_coherent_factors(inputs, truncation), truncation)
 
 
 def _chebyshev_degree(h: float, tol: float) -> int:
@@ -268,18 +258,17 @@ def _chebyshev_coefficients(h: float) -> list[complex]:
                           for n in range(1, degree)]
 
 
-def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
+def _expm_step(cols, mags, k, gamma_nl, delta_k, dz, psi):
     """psi <- exp(i dz (G(0)/hbar - dk N_b2)) psi in place via a Chebyshev
-    expansion; returns the number of generator applications.  psi is the
-    truncation's grid, or its pair grid (one more n_a slice: the probe-free
-    reference, on which the k terms vanish)."""
+    expansion on the ladder table (cols, mags) of psi's grid; returns the
+    number of generator applications.  On the pair grid the interval, and
+    so the degree, are the full system's: the reference slice's Gershgorin
+    discs lie inside those of the full rows."""
     coeffs = term_coefficients(-delta_k, -complex(k), -complex(gamma_nl))
-    cols, mags = (ws.cols, ws.mags) if len(psi) == len(ws.number_a) else ws.pair_table
-    # spectral interval [lo, hi] of A dz from the full table's Gershgorin
-    # discs (they hold the pair slice's), scaled by dz last: a z too long
-    # overflows to inf there, not to NaN
-    diag = -delta_k * ws.mags[0]
-    radius = np.abs(coeffs[1:]) @ ws.mags[1:]
+    # spectral interval [lo, hi] of A dz from the table's Gershgorin discs,
+    # scaled by dz last: a z too long overflows to inf there, not to NaN
+    diag = -delta_k * mags[0]
+    radius = np.abs(coeffs[1:]) @ mags[1:]
     lo = dz * float(np.min(diag - radius))
     hi = dz * float(np.max(diag + radius))
     center, half_width = (hi + lo) / 2, (hi - lo) / 2
@@ -289,7 +278,7 @@ def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
         psi *= phase
         return 0
     a = [phase * a_n for a_n in a]
-    # table of 2X, X = (A dz - center) / half_width; column 0 is the diagonal
+    # table of 2X, X = (A dz - center) / half_width; row 0 is the diagonal
     vals = mags * (coeffs * (2.0 * dz / half_width))[:, None]
     vals[0] -= 2.0 * center / half_width
     prev = psi.copy()                                    # T_0
@@ -309,15 +298,15 @@ def _expm_step(ws, k, gamma_nl, delta_k, dz, psi):
 def _expectations(ws, psi):
     p = np.abs(psi) ** 2
     return (
-        float((ws.number_a * p).sum()),
-        float((ws.number_b1 * p).sum()),
-        float((ws.number_b2 * p).sum()),
+        float(np.sum(ws.number_a * p)),
+        float(np.sum(ws.number_b1 * p)),
+        float(np.sum(ws.number_b2 * p)),
     )
 
 
 def _boundary_mass(psi) -> float:
     p = np.abs(psi) ** 2
-    return float(p[-1, :, :].sum() + p[:, -1, :].sum() + p[:, :, -1].sum())
+    return float(np.sum(p[-1, :, :]) + np.sum(p[:, -1, :]) + np.sum(p[:, :, -1]))
 
 
 def _report(ws, state0: FockStateVector, psi, matvecs: int) -> PropagationReport:
@@ -358,15 +347,28 @@ def _propagate_raw(
     inputs: CoherentInputs,
     z_final: float,
     truncation: TruncationSpec,
+    reference: np.ndarray | None = None,
 ) -> PropagationReport:
+    """Report of the coherent input propagated to z_final.  `reference`, the
+    (d1, d2) n_a = 0 slice of the probe-free reference's grid, rides along
+    in the same recurrence as one more n_a slice and is propagated in
+    place."""
     check_length(z_final)
     state0 = build_coherent_state(inputs, truncation)
     ws = _workspace(truncation)
     if z_final == 0:
         return _report(ws, state0, None, 0)
-    psi = state0.grid().copy()
-    matvecs = _expm_step(ws, k, gamma_nl, delta_k, z_final, psi)
+    if reference is None:
+        psi = state0.grid().copy()
+        table = ws.cols, ws.mags
+    else:
+        psi = np.concatenate((state0.grid(), reference[None]))
+        table = ws.pair_table
+    matvecs = _expm_step(*table, k, gamma_nl, delta_k, z_final, psi)
     psi *= np.exp(1j * delta_k * z_final * ws.number_b2)
+    if reference is not None:
+        reference[...] = psi[-1]
+        psi = psi[:-1]
     return _report(ws, state0, psi, matvecs)
 
 
@@ -396,24 +398,14 @@ def _oracle_pair(
     """Reports of the full system and of its probe-free reference (k=0,
     alpha=0), whose <N_b2> difference is the exact Zeno parameter.  Both
     run in one recurrence on the pair grid; the reference's final_state is
-    placed back on the full grid, zero off n_a = 0."""
-    check_length(z_final)
-    vecs, kept = _coherent_factors(inputs, truncation)
-    da = truncation.n_a_max + 1
-    vacuum = np.zeros(da, dtype=complex)
-    vacuum[0] = 1.0
-    full0 = _product_state(vecs, kept, truncation)
-    # alpha = 0 keeps all of mode a's mass; b1 and b2 are the full run's
-    ref0 = _product_state([vacuum] + vecs[1:], [1.0] + kept[1:], truncation)
+    on the full grid, zero off n_a = 0."""
+    ref_inputs = CoherentInputs(alpha=0.0, beta=inputs.beta, gamma=inputs.gamma)
+    ref0 = build_coherent_state(ref_inputs, truncation)
+    ref = ref0.grid().copy()
+    full = _propagate_raw(params.k, params.gamma_nl, params.delta_k, inputs,
+                          z_final, truncation, reference=ref[0])
     ws = _workspace(truncation)
-    if z_final == 0:
-        return _report(ws, full0, None, 0), _report(ws, ref0, None, 0)
-    psi = np.concatenate((full0.grid(), ref0.grid()[:1]))
-    matvecs = _expm_step(ws, params.k, params.gamma_nl, params.delta_k, z_final, psi)
-    psi *= np.exp(1j * params.delta_k * z_final * ws.number_b2)
-    ref = np.zeros_like(full0.grid())
-    ref[0] = psi[da]
-    return _report(ws, full0, psi[:da], matvecs), _report(ws, ref0, ref, matvecs)
+    return full, _report(ws, ref0, ref if z_final else None, full.steps_used)
 
 
 def oracle_zeno_parameter(

@@ -46,16 +46,14 @@ from .params import CoherentInputs, CouplerParams, check_count
 SECONDARY_AXES = ("delta_k", "k_magnitude", "phi", "gamma_nl")
 
 
-def z_from_gamma_z(gamma_z, gamma_nl: complex, gamma_z_bound: float | None = None):
+def z_from_gamma_z(gamma_z, gamma_nl: complex):
     """Plain length z = gamma_z / |gamma_nl| (scalar or array) for a
     rescaled length; it has no meaning when gamma_nl = 0, nor where it
-    overflows.  gamma_z_bound, a bound on |gamma_z| that a caller converting
-    many rows finds once, saves a pass over the array."""
+    overflows."""
     g = abs(complex(gamma_nl))
     if g == 0:
         raise InvalidParameters("rescaled length gamma_nl*z needs |gamma_nl| > 0")
-    if gamma_z_bound is None:
-        gamma_z_bound = float(np.max(np.abs(gamma_z)))
+    gamma_z_bound = float(np.max(np.abs(gamma_z)))
     # a float quotient overflows to inf without the warning an array's would raise
     if not gamma_z_bound / g < math.inf:
         raise InvalidParameters(
@@ -100,7 +98,7 @@ class SweepSpec:
             raise InvalidParameters(f"unknown secondary axis {self.secondary_name!r}")
         if self.secondary_name != "gamma_nl":
             # every cell converts its rescaled length with this gamma_nl
-            z_from_gamma_z(0.0, self.params.gamma_nl, 0.0)
+            z_from_gamma_z(0.0, self.params.gamma_nl)
 
 
 @dataclass(frozen=True)
@@ -221,11 +219,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     z, n_b2, n_ref, dnz = (np.full(shape, np.nan) for _ in range(4))
     status, message = ["ok"] * shape[0], [""] * shape[0]
     last_params = terms = None
-    gamma_z_bound = float(np.max(np.abs(gamma_z)))
     for si, sv in enumerate(sec_values):
         try:
             params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
-            z[si] = z_from_gamma_z(gamma_z, params.gamma_nl, gamma_z_bound)
+            z[si] = z_from_gamma_z(gamma_z, params.gamma_nl)
         except (DegenerateParameters, InvalidParameters) as exc:
             status[si] = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
             message[si] = str(exc)

@@ -91,6 +91,10 @@ class TestTruncationSpec:
     def test_memory_guard(self):
         with pytest.raises(ValueError):
             TruncationSpec(300, 300, 300)
+        # the guard counts the oracle's pair grid, one n_a slice more
+        assert TruncationSpec(1, 1000, 1000).dimension == 2 * 1001 * 1001
+        with pytest.raises(ValueError):
+            TruncationSpec(1, 1100, 1100)
 
 
 class TestBuildCoherentState:
@@ -257,7 +261,8 @@ class TestPropagate:
             psi0 = _random_state(rng, trunc.dimension)
             want = v @ (np.exp(1j * dz * w) * (v.conj().T @ psi0))
             psi = psi0.reshape(trunc.shape).copy()
-            matvecs = fock._expm_step(fock._workspace(trunc), k, g, dk, dz, psi)
+            ws = fock._workspace(trunc)
+            matvecs = fock._expm_step(ws.cols, ws.mags, k, g, dk, dz, psi)
             most_matvecs = max(most_matvecs, matvecs)
             assert np.max(np.abs(psi.ravel() - want)) <= 1e-12
         # 299 matvecs (degree 300) need h > 196, so at least one case had a
