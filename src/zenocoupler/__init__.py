@@ -13,7 +13,6 @@ from .coefficients import (
     compute_h2_prime,
 )
 from .errors import (
-    DegenerateParameters,
     ExcessiveTruncationLoss,
     InternalConsistencyError,
     InvalidParameters,
@@ -60,7 +59,6 @@ __all__ = [
     "Classification",
     "CoherentInputs",
     "CouplerParams",
-    "DegenerateParameters",
     "ExcessiveTruncationLoss",
     "FockStateVector",
     "InternalConsistencyError",

@@ -7,16 +7,27 @@ operators as combinations of the z=0 operators:
     b1(z) = g1 a + g2 b1 + g3 b1^ b2 + g4 a^ b2
     b2(z) = h1 b2 + h2 b1^2 + h3 b1 a + h4 a^2
 
-with G+- = 1 +- exp(-i dk z).  Every division by dk has a finite dk -> 0
-limit; those quotients are routed through a series below the switch
-threshold to avoid catastrophic cancellation.
+f1, f2, g1, g2 are the linear coupler's solution and h1 = 1.  The others
+are first order in Gamma and come from z'-integrals of that solution:
+
+- db2/dz = -i Gamma e^{i dk z} b1(z)^2, so h2, h3, h4 integrate the
+  products of g1 and g2 against e^{i dk z'};
+- d(a, b1)/dz is the linear coupler plus (0, -2i Gamma* e^{-i dk z} b1^ b2),
+  so f3, f4, g3, g4 follow from Duhamel's formula.
+
+Each product of linear solutions is a sum of e^{+-i|k|z'} and 1, so every
+integral is one of int_0^z e^{i w z'} dz' = i D(w), with w in {dk,
+dk + 2|k|, dk - 2|k|} and
+
+    D(w) = (1 - e^{i w z}) / w = -i z e^{i w z/2} sinc(w z/2),
+
+with D(-w) = -conj(D(w)).  D is entire in w: no mismatch, including
+dk = 0 and the 2|k| = |dk| resonance, divides by zero or cancels.
 
 `compute_coefficients` and `compute_h2_prime` take z as a float or as a
-1-D float array.  A float z is evaluated with `cmath`/`math`, and the
-series switch is an `if`; an array z is evaluated elementwise with numpy
-in one pass, and the series overwrites the elements the switch gives it,
-so one array may mix series and closed-form cells.  Both use the same
-expressions and agree to rounding.
+1-D float array.  A float z is evaluated with `cmath`/`math`; an array z
+elementwise with numpy in one pass.  Both use the same expressions and
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -29,11 +40,6 @@ import numpy as np
 
 from .params import CouplerParams, check_length
 
-# Switch dk-division terms to a second-order series when both the total
-# accumulated phase and the mismatch-to-coupling ratio are tiny.
-SERIES_SWITCH_PHASE = 1e-6
-SERIES_SWITCH_RATIO = 1e-6
-
 
 @dataclass(frozen=True)
 class ModeCoefficients:
@@ -45,123 +51,56 @@ class ModeCoefficients:
     h: tuple[complex, complex, complex, complex]
 
 
-def _use_series(delta_k: float, z, k_mag: float):
-    """Whether the dk-division terms take their series: a bool for a float
-    z, False or a bool array for an array z."""
-    return (
-        abs(delta_k) < SERIES_SWITCH_RATIO * k_mag
-        and abs(delta_k * z) < SERIES_SWITCH_PHASE
-    )
-
-
-def _series_gmc_over_dk(delta_k: float, z):
-    """Series of (1 - exp(+i dk z)) / dk about dk = 0 (limit -i z), in the
-    small phase p = dk z, so that no power of z alone can overflow."""
-    p = delta_k * z
-    return -1j * z + z * p / 2.0 + 1j * z * p**2 / 6.0
-
-
-def _scalar_over_dk(series_fn, numerator: complex, delta_k: float, z: float, series: bool):
-    """numerator / dk, or its series where the switch says so."""
-    if series:
-        return series_fn(delta_k, z)
-    return numerator / delta_k
-
-
-def _array_over_dk(series_fn, numerator, delta_k: float, z, series):
-    """Elementwise numerator / dk, with the series on the elements the switch
-    gives it (only there, so it never sees a z far past its range); the
-    division there may be 0/0 (errors suppressed) before it is replaced."""
-    out = numerator / delta_k
-    if np.any(series):
-        out[series] = series_fn(delta_k, z[series])
-    return out
-
-
-# (exp, cos, sin, dk-quotient select) for a float z and for an array z
-_SCALAR_OPS = (cmath.exp, math.cos, math.sin, _scalar_over_dk)
-_ARRAY_OPS = (np.exp, np.cos, np.sin, _array_over_dk)
+def _d(w: float, z):
+    """D(w) = (1 - e^{i w z}) / w at a float z, or elementwise over an
+    array z; D(0) = -i z."""
+    x = 0.5 * w * z
+    if isinstance(z, np.ndarray):
+        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+        return -1j * z * np.exp(1j * x) * sinc
+    return -1j * z * cmath.exp(1j * x) * (math.sin(x) / x if x else 1.0)
 
 
 def compute_coefficients(params: CouplerParams, z) -> ModeCoefficients:
     """Evaluate all twelve coefficients at distance z >= 0, a float or a
     1-D float array (each coefficient then has z's shape; h1 = 1 stays a
     scalar)."""
-    check_length(z)
-    if isinstance(z, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _coefficients(params, z, _ARRAY_OPS)
-    return _coefficients(params, z, _SCALAR_OPS)
-
-
-def _coefficients(params: CouplerParams, z, ops) -> ModeCoefficients:
-    exp, cos, sin, over_dk = ops
-    k = complex(params.k)
-    kc = k.conjugate()
-    gc = complex(params.gamma_nl).conjugate()
+    dk, ak = float(params.delta_k), abs(complex(params.k))
+    check_length(z, abs(dk) + 2.0 * ak)
+    exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
+    u = complex(params.k).conjugate() / ak
     gam = complex(params.gamma_nl)
-    dk = float(params.delta_k)
-    ak = abs(k)
-    ak2 = ak * ak
-    denom = 4.0 * ak2 - dk * dk
+    gc = gam.conjugate()
 
-    series = _use_series(dk, z, ak)
-    exp_m = exp(-1j * dk * z)
-    # h coefficients use the conjugates G-* and (G+* - 1) = exp(+i dk z).
-    # dk is real, so G-/dk is the conjugate of G-*/dk (up to the sign of a
-    # zero imaginary part at z = 0).
-    exp_p = exp_m.conjugate()
-    gm = 1.0 - exp_m
-    gp = 1.0 + exp_m
-    gmc_dk = over_dk(_series_gmc_over_dk, 1.0 - exp_p, dk, z, series)
-    gm_dk = gmc_dk.conjugate()
+    ep = exp(1j * ak * z)
+    em = ep.conjugate()
+    d0, dp, dm = _d(dk, z), _d(dk + 2.0 * ak, z), _d(dk - 2.0 * ak, z)
 
-    f1 = cos(ak * z) + 0j
-    f2 = -1j * kc / ak * sin(ak * z)
+    f1 = ep.real + 0j
+    f2 = -1j * u * ep.imag
     g1 = -f2.conjugate()
     g2 = f1
 
-    f3 = (2.0 * kc * gc / denom) * (gm * f1 + (f2 / kc) * (dk - 2.0 * ak2 * gm_dk))
-    f4 = (4.0 * kc * kc * gc / denom) * gm_dk * f1 + (2.0 * kc * gc / denom) * gp * f2
-    g3 = (2.0 * gc * k / denom) * gp * f2 - (
-        2.0 * gc * (2.0 * ak2 - dk * dk) * f1 / denom
-    ) * gm_dk
-    # The first two printed g4 terms share the 1/dk pole; combined they are
-    # (2 gc f2 / denom) * (2|k|^2 G-/dk + dk exp(-i dk z)), which is finite.
-    g4 = (2.0 * gc * f2 / denom) * (2.0 * ak2 * gm_dk + dk * exp_m) + (
-        2.0 * kc * gc / denom
-    ) * gm * f1
+    h2 = gam * (d0 / 2.0 + (dp + dm) / 4.0)
+    h3 = -gam * u.conjugate() / 2.0 * (dp - dm)
+    h4 = -gam * u.conjugate() ** 2 * (d0 / 2.0 - (dp + dm) / 4.0)
 
-    s2 = sin(2.0 * ak * z)
-    c2 = cos(2.0 * ak * z)
-    brace = 2.0 * ak * exp_p * s2 - 1j * dk * (1.0 - exp_p * c2)
-    h1 = 1.0 + 0j
-    h2 = gam * gmc_dk / 2.0 - 1j * gam / (2.0 * denom) * brace
-    h3 = (-gam * ak / (kc * denom)) * (
-        1j * dk * exp_p * s2 + 2.0 * ak * (1.0 - exp_p * c2)
-    )
-    h4 = -gam * ak2 * gmc_dk / (2.0 * kc * kc) - 1j * gam * ak2 / (
-        2.0 * kc * kc * denom
-    ) * brace
+    d0c, dpc, dmc = d0.conjugate(), dp.conjugate(), dm.conjugate()
+    p, q = ep * (d0c + dpc), em * (d0c + dmc)
+    r, t = ep * (d0c - dpc), em * (d0c - dmc)
+    f3 = gc * u * (p - q) / 2.0
+    g3 = -gc * (p + q) / 2.0
+    f4 = gc * u * u * (r + t) / 2.0
+    g4 = -gc * u * (r - t) / 2.0
 
-    return ModeCoefficients(z=z, f=(f1, f2, f3, f4), g=(g1, g2, g3, g4), h=(h1, h2, h3, h4))
+    return ModeCoefficients(
+        z=z, f=(f1, f2, f3, f4), g=(g1, g2, g3, g4), h=(1.0 + 0j, h2, h3, h4))
 
 
 def compute_h2_prime(gamma_nl: complex, delta_k: float, z):
-    """Uncoupled-reference coefficient h2' = h2(k=0) = Gamma (1 - e^{i dk z}) / dk,
-    for a float z or elementwise for a 1-D float array z.
-
-    The dk -> 0 removable limit is -i Gamma z.
-    """
-    check_length(z)
+    """Uncoupled-reference coefficient h2' = h2(k=0) = Gamma D(dk), for a
+    float z or elementwise for a 1-D float array z; at dk = 0 it is
+    -i Gamma z."""
     dk = float(delta_k)
-    if isinstance(z, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return complex(gamma_nl) * _h2_prime_over_gamma(dk, z, _ARRAY_OPS)
-    return complex(gamma_nl) * _h2_prime_over_gamma(dk, z, _SCALAR_OPS)
-
-
-def _h2_prime_over_gamma(dk: float, z, ops):
-    exp, _, _, over_dk = ops
-    series = abs(dk * z) < SERIES_SWITCH_PHASE
-    return over_dk(_series_gmc_over_dk, 1.0 - exp(1j * dk * z), dk, z, series)
+    check_length(z, abs(dk))
+    return complex(gamma_nl) * _d(dk, z)

@@ -10,11 +10,6 @@ class InvalidParameters(ZenoCouplerError, ValueError):
     non-finite amplitude or a malformed axis)."""
 
 
-class DegenerateParameters(ZenoCouplerError):
-    """Parameter set sits on the 2|k| = |dk| resonance where the
-    closed-form coefficient denominators vanish."""
-
-
 class ExcessiveTruncationLoss(ZenoCouplerError):
     """Fock-space cutoffs are too small for the requested amplitudes."""
 

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameters, InvalidParameters
-
-# Relative width (in units of |k|^2) of the rejected band around the
-# 2|k| = |dk| resonance, where the coefficient denominators vanish.
-DEGENERACY_THRESHOLD = 1e-9
+from .errors import InvalidParameters
 
 
 def check_count(value, name: str, minimum: int) -> None:
@@ -31,16 +27,20 @@ def check_count(value, name: str, minimum: int) -> None:
         raise InvalidParameters(f"{name} must be >= {minimum}, got {n}")
 
 
-def check_length(z) -> None:
+def check_length(z, rate: float = 0.0) -> None:
     """Raise InvalidParameters unless the propagation distance z, a float or
     every element of an array, is finite and non-negative (NaN fails the
-    comparison too)."""
+    comparison too), and the largest phase rate * z is finite."""
     if isinstance(z, np.ndarray):
         bad = z[~((0.0 <= z) & (z < math.inf))]
         if bad.size:
             raise InvalidParameters(f"z must be finite and non-negative, got {bad[0]}")
+        z = z.max(initial=0.0)
     elif not 0.0 <= z < math.inf:
         raise InvalidParameters(f"z must be finite and non-negative, got {z}")
+    # a float product overflows to inf without the warning a numpy one raises
+    if not float(rate) * float(z) < math.inf:
+        raise InvalidParameters(f"phase {rate:g} * z overflows at z = {float(z):g}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,6 @@ class CouplerParams:
             and math.isfinite(self.delta_k)
         ):
             raise InvalidParameters("couplings must be finite")
-        ak2 = abs(k) ** 2
-        denom = abs(4.0 * ak2 - self.delta_k**2)
-        if denom < DEGENERACY_THRESHOLD * ak2:
-            raise DegenerateParameters(
-                f"parameters sit on the 2|k|=|dk| resonance: "
-                f"|4|k|^2 - dk^2| = {denom:.3e} < "
-                f"{DEGENERACY_THRESHOLD:.1e} * |k|^2"
-            )
 
 
 @dataclass(frozen=True)
@@ -99,15 +91,6 @@ class CoherentInputs:
             and cmath.isfinite(complex(self.gamma))
         ):
             raise InvalidParameters("coherent amplitudes must be finite")
-
-    @property
-    def spontaneous(self) -> bool:
-        """True when the second-harmonic input is empty (|gamma| = 0)."""
-        return self.gamma == 0
-
-    @property
-    def phi(self) -> float:
-        return cmath.phase(complex(self.gamma))
 
     def with_phi(self, phi: float) -> "CoherentInputs":
         """Same inputs with gamma's phase replaced, magnitude kept."""

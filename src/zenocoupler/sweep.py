@@ -12,13 +12,12 @@ share that evaluation.  The `SweepResult` is columnar: z, <N_b2>,
 <N_b2>_{k=0}, dN_Z and the sign classification are (secondary, z) arrays,
 classified in one array expression with `classify`'s thresholds and
 errors.  Each cell equals the scalar `zeno_sample` at its own z to
-rounding.  A row whose parameters raise fails as a whole: status
-"degenerate" for DegenerateParameters (the 2|k| = |dk| resonance),
-"invalid" for InvalidParameters (e.g. k = 0 or gamma_nl = 0), with NaN
-numbers and sign 0.  `SweepResult.cells` is a list of `SweepCell` records
-built from the arrays on first read; `find_transitions` and
-`validate_against_oracle` read the arrays and build no more cells than
-they return or compare.
+rounding.  A row whose parameters raise InvalidParameters (e.g. k = 0,
+gamma_nl = 0, or a length or phase that overflows) fails as a whole:
+status "invalid", with NaN numbers and sign 0.  `SweepResult.cells` is a
+list of `SweepCell` records built from the arrays on first read;
+`find_transitions` and `validate_against_oracle` read the arrays and
+build no more cells than they return or compare.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .errors import DegenerateParameters, InvalidParameters
+from .errors import InvalidParameters
 from .fock import TruncationSpec, oracle_zeno_parameter
 from .observables import (
     DEFAULT_CLASSIFICATION_TOL,
@@ -110,8 +109,7 @@ class SweepCell:
     secondary_value: float | None
     gamma_z: float
     sample: ZenoSample | None
-    # "ok"; "degenerate" on the 2|k| = |dk| resonance (DegenerateParameters);
-    # "invalid" where the cell's parameters break a precondition
+    # "ok", or "invalid" where the cell's parameters break a precondition
     # (InvalidParameters, e.g. k = 0 or gamma_nl = 0)
     status: str
     message: str = ""
@@ -138,7 +136,7 @@ class SweepResult:
     n_b2_uncoupled: np.ndarray
     delta_n_z: np.ndarray
     sign: np.ndarray  # int8: -1 Zeno, 0 Null or a failed row, +1 AntiZeno
-    row_status: tuple[str, ...]  # "ok", "degenerate" or "invalid" (see SweepCell)
+    row_status: tuple[str, ...]  # "ok" or "invalid" (see SweepCell)
     row_message: tuple[str, ...]  # "" on an ok row
 
     def __post_init__(self):
@@ -222,14 +220,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for si, sv in enumerate(sec_values):
         try:
             params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
-            z[si] = z_from_gamma_z(gamma_z, params.gamma_nl)
-        except (DegenerateParameters, InvalidParameters) as exc:
-            status[si] = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
-            message[si] = str(exc)
+            row_z = z_from_gamma_z(gamma_z, params.gamma_nl)
+            if params is not last_params:
+                last_params, terms = params, _b2_coefficients(params, row_z)
+            numbers = _b2_combine(*terms, inputs)
+        except InvalidParameters as exc:
+            status[si], message[si] = "invalid", str(exc)
             continue
-        if params is not last_params:
-            last_params, terms = params, _b2_coefficients(params, z[si])
-        n_b2[si], n_ref[si], dnz[si] = _b2_combine(*terms, inputs)
+        z[si] = row_z
+        n_b2[si], n_ref[si], dnz[si] = numbers
 
     ok = np.array([s == "ok" for s in status])
     sign = np.zeros(shape, dtype=np.int8)
@@ -336,7 +335,7 @@ def preset_sweep(name: str) -> SweepSpec:
         )
     if name == "fig3":
         # The sign change sits past the 2|k| = 0.2 resonance, so the axis
-        # spans it; cells inside the guard band become error markers.
+        # spans it; the closed form is finite there, so every cell is ok.
         params = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=1e-4)
         return SweepSpec(
             params=params,

@@ -5,13 +5,12 @@ from zenocoupler import CouplerParams
 
 
 def random_params(rng) -> CouplerParams:
-    """Valid parameter set away from the 2|k|=|dk| resonance band."""
+    """Random valid parameter set with complex k and gamma_nl and
+    0 <= dk < 1.5|k|."""
     k_mag = rng.uniform(0.05, 1.0)
     k = k_mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
     g = k_mag * rng.uniform(1e-4, 0.05) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     dk = rng.uniform(0.0, 1.5 * k_mag)
-    if abs(dk - 2 * k_mag) < 0.1 * k_mag:
-        dk = 2.3 * k_mag
     return CouplerParams(k=complex(k), gamma_nl=complex(g), delta_k=float(dk))
 
 

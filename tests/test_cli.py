@@ -109,9 +109,12 @@ class TestCmdCoeffs:
         code, out = run_cli(["coeffs", "--z", "nan"])
         assert code == 2 and out == ""
 
-    def test_degenerate_exits_3(self):
-        code, _ = run_cli(["coeffs", "--k", "0.1", "--delta-k", "0.2", "--z", "1"])
-        assert code == 3
+    def test_resonance_exits_0(self):
+        # 2|k| = dk: the coefficients stay finite on the resonance
+        code, out = run_cli(["coeffs", "--k", "0.1", "--delta-k", "0.2", "--z", "1"])
+        assert code == 0
+        _, rows = parse_table(out)
+        assert all(math.isfinite(float(v)) for name, v in rows[0].items() if name != "status")
 
 
 class TestCmdZeno:
@@ -147,13 +150,13 @@ class TestCmdZeno:
         assert a == b
 
 
-# sha256 of `zenocoupler sweep --preset <name>` stdout, recorded before sweep
-# results became columnar (numpy 2.4, x86-64); the CSV rows are rendered
-# from the arrays now, and no byte of them may move
+# sha256 of `zenocoupler sweep --preset <name>` stdout (numpy 2.4, x86-64),
+# recorded when the coefficients became sums of one entire function D(w);
+# no byte of them may move
 PRESET_SHA256 = {
-    "fig2": "75ee9beef33ef17ddfae1c2ac6dc113b6b3435cc66d4b9d730d2c49ff19af63a",
-    "fig3": "5665c14d6055e9da71ee05cd2d8481763d4ddba58f439336aaecfd426be50d81",
-    "fig4": "7e2bba1be576fdd9e9611e498a6f220633a96ffc1f79605fb1e4b0969b24a563",
+    "fig2": "6eb2c85719b344eadd620fb6cec62e3914e0e3eae5db3e18816e896921e4cca9",
+    "fig3": "c908b584c2ee6300dcd81bd9a7d65e08f07bcc730ab0b5712f94d58d17e01393",
+    "fig4": "58d71ef81eadc2e2823e02278c77a9630e0c4cceb55bba68e5b75415ec0cfcb5",
 }
 
 
@@ -170,8 +173,8 @@ class TestCmdSweep:
         ["sweep", "--delta-k", "1e-4", "--gamma-z", "0:1e300:3"],
     ], ids=["zeno-scalar-series", "sweep-series", "sweep-closed-form"])
     def test_long_lengths_give_a_number_or_a_typed_error(self, argv, capsys):
-        # the dk -> 0 series must not overflow (or warn: tier-1 turns a
-        # RuntimeWarning into an error) at z far past its switch
+        # no power of z alone may overflow (or warn: tier-1 turns a
+        # RuntimeWarning into an error), at dk = 0 and past it
         code, out = run_cli(argv)
         err = capsys.readouterr().err
         assert (code, err) == (0, "") or (code == 2 and err.startswith("error: "))
@@ -246,6 +249,17 @@ class TestCmdSweep:
         assert [r["status"] for r in rows] == ["invalid"] * 2 + ["ok"] * 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("overflows z" in line for line in err)
+
+    def test_overflowing_phase_row_is_invalid(self, capsys):
+        # 2|k| z overflows although z = gamma_z / gamma_nl does not: the row
+        # is invalid, with no RuntimeWarning
+        code, out = run_cli(["sweep", "--k", "1e10", "--gamma-nl", "1e-3",
+                             "--gamma-z", "0:1e300:3"])
+        assert code == 0
+        _, rows = parse_table(out)
+        assert [r["status"] for r in rows] == ["invalid"] * 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all("overflows" in line for line in err)
 
     def test_failed_cells_say_why_on_stderr(self, capsys):
         code, out = run_cli(["sweep", "--gamma-z", "0:0.1:2", "--axis", "k_magnitude:0:0.3:2"])

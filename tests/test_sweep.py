@@ -25,8 +25,6 @@ from zenocoupler import (
     zeno_sample,
 )
 from zenocoupler import sweep
-from zenocoupler.coefficients import SERIES_SWITCH_PHASE
-from zenocoupler.errors import DegenerateParameters
 from zenocoupler.observables import _b2_numbers, _signs
 from zenocoupler.sweep import SECONDARY_AXES, _cell_parameters, z_from_gamma_z
 
@@ -151,7 +149,7 @@ class TestRunSweep:
             (c.gamma_z, c.sample.delta_n_z if c.sample else None) for c in a.cells
         ] == [(c.gamma_z, c.sample.delta_n_z if c.sample else None) for c in b.cells]
 
-    def test_degenerate_cells_marked_in_band(self):
+    def test_resonance_cells_ok_in_band(self):
         spec = simple_spec(
             count=2,
             secondary_name="delta_k",
@@ -159,12 +157,10 @@ class TestRunSweep:
         )
         result = run_sweep(spec)
         assert len(result.cells) == 6  # grid shape preserved
-        statuses = {}
-        for c in result.cells:
-            statuses.setdefault(c.secondary_index, set()).add(c.status)
-        assert statuses[0] == {"ok"}
-        assert statuses[1] == {"degenerate"}
-        assert statuses[2] == {"ok"}
+        assert result.row_status == ("ok", "ok", "ok")
+        for cell in result.cells:
+            params, inputs = _cell_parameters(spec, "delta_k", cell.secondary_value)
+            assert_cell_matches_scalar(cell, params, inputs)
 
     def test_fig2_preset_all_zeno(self):
         result = run_sweep(preset_sweep("fig2"))
@@ -212,7 +208,7 @@ class TestRunSweep:
             assert cell.status == "ok" and cell.sample == want
 
     def test_invalid_and_degenerate_cells_told_apart(self):
-        # k = 0 breaks a precondition; 2|k| = 0.2 = dk sits on the resonance
+        # k = 0 breaks a precondition; 2|k| = 0.2 = dk, on the resonance, is ok
         spec = SweepSpec(
             params=CouplerParams(k=0.3, gamma_nl=0.001, delta_k=0.2),
             inputs=FIG2_INPUTS,
@@ -221,9 +217,11 @@ class TestRunSweep:
             secondary_axis=AxisSpec(0.0, 0.2, 3),
         )
         cells = run_sweep(spec).cells
-        assert [c.status for c in cells] == ["invalid"] * 2 + ["degenerate"] * 2 + ["ok"] * 2
+        assert [c.status for c in cells] == ["invalid"] * 2 + ["ok"] * 4
         assert "k must be nonzero" in cells[0].message
-        assert "resonance" in cells[2].message
+        resonance = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=0.2)
+        for cell in cells[2:4]:
+            assert_cell_matches_scalar(cell, resonance, FIG2_INPUTS)
 
     def test_overflowing_length_row_is_invalid(self):
         # 0.1 / 1e-310 overflows z; that row fails alone, with no
@@ -281,8 +279,7 @@ class TestRunSweep:
             rows += 4
 
     def test_series_switch_inside_a_row(self):
-        # tiny dk: |dk z| crosses SERIES_SWITCH_PHASE inside every row, so a
-        # row mixes series and closed-form cells (z = 0 to 2000)
+        # tiny dk: |dk z| runs from 0 to about 4e-6 along each row (z = 0 to 2000)
         spec = SweepSpec(
             params=FIG2_PARAMS,
             inputs=FIG2_INPUTS,
@@ -294,9 +291,6 @@ class TestRunSweep:
         for cell in cells:
             params, inputs = _cell_parameters(spec, "delta_k", cell.secondary_value)
             assert_cell_matches_scalar(cell, params, inputs)
-        for si in range(4):
-            phases = [c.secondary_value * c.sample.z for c in cells if c.secondary_index == si]
-            assert min(phases) < SERIES_SWITCH_PHASE < max(phases)
 
 
 def pair_loop(cells, ns, nz):
@@ -376,8 +370,8 @@ class TestFindTransitions:
             result = SweepResult(
                 spec, spec.z_axis.values(), tuple(spec.secondary_axis.values().tolist()),
                 numbers, numbers, numbers, numbers, sign,
-                tuple("degenerate" if f else "ok" for f in failed),
-                tuple("resonance" if f else "" for f in failed),
+                tuple("invalid" if f else "ok" for f in failed),
+                tuple("k must be nonzero" if f else "" for f in failed),
             )
             assert find_transitions(result) == pair_loop(result.cells, ns, nz)
 
@@ -407,13 +401,12 @@ def eager_cells(spec):
         try:
             params, inputs = _cell_parameters(spec, spec.secondary_name, sv)
             z = z_from_gamma_z(gamma_z, params.gamma_nl)
-        except (DegenerateParameters, InvalidParameters) as exc:
-            status = "degenerate" if isinstance(exc, DegenerateParameters) else "invalid"
-            cells.extend(SweepCell(si, zi, sv, gz, None, status, str(exc))
+            row = _b2_numbers(params, inputs, z)
+        except InvalidParameters as exc:
+            cells.extend(SweepCell(si, zi, sv, gz, None, "invalid", str(exc))
                          for zi, gz in enumerate(gamma_z.tolist()))
             continue
-        numbers = zip(gamma_z.tolist(), z.tolist(),
-                      *(v.tolist() for v in _b2_numbers(params, inputs, z)))
+        numbers = zip(gamma_z.tolist(), z.tolist(), *(v.tolist() for v in row))
         cells.extend(
             SweepCell(si, zi, sv, gz,
                       ZenoSample(zz, nb, nr, d, classify(d, spec.classification_tol)), "ok")
@@ -424,8 +417,8 @@ def eager_cells(spec):
 
 def random_spec(rng, name):
     """A small random grid on a secondary axis; the delta_k and k_magnitude
-    axes may cross the resonance and k_magnitude may start at k = 0, so
-    some rows fail."""
+    axes may cross the resonance, and the k_magnitude and gamma_nl axes
+    start at 0, so some rows fail."""
     p = random_params(rng)
     return SweepSpec(
         params=p,
@@ -471,15 +464,19 @@ class TestColumnarResult:
         assert result.gamma_z.tolist() == spec.z_axis.values().tolist()
         assert result.secondary_values == (0.0, 0.1, 0.2)
         assert (result.n_secondary, result.n_z) == (3, 4)
-        assert result.row_status == ("invalid", "degenerate", "ok")
-        assert result.row_message[2] == "" and "resonance" in result.row_message[1]
+        assert result.row_status == ("invalid", "ok", "ok")
+        assert result.row_message[1:] == ("", "") and "nonzero" in result.row_message[0]
         assert result.sign.dtype == np.int8
         for name in ("z", "n_b2", "n_b2_uncoupled", "delta_n_z", "sign"):
             column = getattr(result, name)
             assert column.shape == (3, 4)
-            assert np.isnan(column[:2]).all() if name != "sign" else not column[:2].any()
+            assert np.isnan(column[:1]).all() if name != "sign" else not column[:1].any()
             with pytest.raises(ValueError):
                 column[2, 0] = 0
+        # row 1 sits on the 2|k| = dk resonance
+        resonance = CouplerParams(k=0.1, gamma_nl=0.001, delta_k=0.2)
+        for cell in result.cells[4:8]:
+            assert_cell_matches_scalar(cell, resonance, FIG2_INPUTS)
         with pytest.raises(ValueError):
             result.gamma_z[0] = 1.0
         assert run_sweep(simple_spec(count=2)).secondary_values == (None,)
