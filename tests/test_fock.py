@@ -1,5 +1,7 @@
+import cmath
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +97,20 @@ class TestTruncationSpec:
         assert TruncationSpec(1, 1000, 1000).dimension == 2 * 1001 * 1001
         with pytest.raises(ValueError):
             TruncationSpec(1, 1100, 1100)
+        # an oracle point at the limit peaks near 1.3 GB: measured on 30k
+        # pair-grid states, where the Chebyshev block already has the 3
+        # rows it has at the limit, tables and statistics built inside
+        trunc = TruncationSpec(1, 100, 100)
+        fock._workspace.cache_clear()
+        tracemalloc.start()
+        try:
+            oracle_zeno_parameter(CouplerParams(k=1e-4, gamma_nl=1e-3, delta_k=1e-2),
+                                  CoherentInputs(0.0, 0.3, 0.2), 0.5, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_state = peak / (3 * 101 * 101)
+        assert per_state * fock.MAX_BASIS_DIMENSION <= 1.4e9
 
 
 class TestBuildCoherentState:
@@ -110,6 +126,25 @@ class TestBuildCoherentState:
             CoherentInputs(alpha=1.0), TruncationSpec(10, 3, 3)
         )
         assert s.norm_deficit == pytest.approx(TAIL_ALPHA1_CUT10, rel=1e-9)
+
+    def test_past_exponential_underflow(self):
+        # exp(-|alpha|^2/2) alone underflows to 0 past |alpha| ~ 38.6; at
+        # |alpha| = 39 the mean occupation is 1521, far inside the cutoff
+        alpha = 39.0 * cmath.exp(0.7j)
+        s = build_coherent_state(CoherentInputs(alpha=alpha), TruncationSpec(3000, 1, 1))
+        log_poisson = [n * math.log(abs(alpha)) - abs(alpha) ** 2 / 2
+                       - 0.5 * math.lgamma(n + 1.0) for n in range(3001)]
+        want = np.exp(np.array(log_poisson) + 1j * cmath.phase(alpha) * np.arange(3001))
+        grid = s.grid()
+        np.testing.assert_allclose(grid[:, 0, 0], want, rtol=1e-12, atol=1e-300)
+        assert np.count_nonzero(grid[:, 1:, :]) == np.count_nonzero(grid[:, :, 1:]) == 0
+        assert 0 <= s.norm_deficit < 1e-12
+
+    def test_huge_amplitude_rejected(self):
+        # |alpha|^2 overflows a float: a typed truncation error, not an
+        # OverflowError from the arithmetic
+        with pytest.raises(ExcessiveTruncationLoss):
+            build_coherent_state(CoherentInputs(alpha=1e200), TruncationSpec(3, 3, 3))
 
     def test_normalized(self):
         s = build_coherent_state(SMALL_INPUTS, TruncationSpec(10, 10, 6))
@@ -262,12 +297,28 @@ class TestPropagate:
             want = v @ (np.exp(1j * dz * w) * (v.conj().T @ psi0))
             psi = psi0.reshape(trunc.shape).copy()
             ws = fock._workspace(trunc)
-            matvecs = fock._expm_step(ws.cols, ws.mags, k, g, dk, dz, psi)
+            matvecs = fock._expm_step(ws, (ws.cols, ws.mags), k, g, dk, dz, psi)
             most_matvecs = max(most_matvecs, matvecs)
             assert np.max(np.abs(psi.ravel() - want)) <= 1e-12
         # 299 matvecs (degree 300) need h > 196, so at least one case had a
-        # row-sum norm bound of A dz, which is at least h, above 196.
+        # spectral interval of A dz wider than 392.
         assert most_matvecs >= 299
+
+    def test_three_row_block_against_dense_reference(self, rng, monkeypatch):
+        # past about 22k states the block of Chebyshev terms has its floor
+        # of 3 rows and is summed every 3 steps; force that on a small grid
+        monkeypatch.setattr(fock, "_TERM_BLOCK_BYTES", 0)
+        cutoffs = (4, 5, 3)
+        trunc = TruncationSpec(*cutoffs)
+        ws = fock._workspace(trunc)
+        for dz in (0.05, 3.0, 40.0):
+            k, g, dk = _random_couplings(rng)
+            w, v = np.linalg.eigh(_kron_generator(cutoffs, k, g, dk))
+            psi0 = _random_state(rng, trunc.dimension)
+            want = v @ (np.exp(1j * dz * w) * (v.conj().T @ psi0))
+            psi = psi0.reshape(trunc.shape).copy()
+            fock._expm_step(ws, (ws.cols, ws.mags), k, g, dk, dz, psi)
+            assert np.max(np.abs(psi.ravel() - want)) <= 1e-12
 
     def test_expectations_carried_on_the_report(self):
         trunc = TruncationSpec(10, 10, 6)
@@ -321,6 +372,62 @@ class TestChebyshevCoefficients:
         assert np.max(np.abs(total - np.exp(1j * h * x))) <= 1e-13
 
 
+def _row_sum_interval(dense):
+    """Union of the Gershgorin discs of a dense Hermitian matrix."""
+    diag = np.diag(dense).real
+    radius = np.sum(np.abs(dense), axis=1) - np.abs(diag)
+    return np.min(diag - radius), np.max(diag + radius)
+
+
+class TestSpectralInterval:
+    """The Weyl-and-Gershgorin interval of the Chebyshev step against dense
+    eigenvalues of the ladder-matrix generator."""
+
+    @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS + [(7, 7, 5)])
+    def test_holds_the_spectrum(self, rng, cutoffs):
+        ws = fock._workspace(TruncationSpec(*cutoffs))
+        for i in range(8 if ws.dimension < 300 else 4):
+            k, g, dk = _random_couplings(rng)
+            if i % 4 == 1:
+                k = 0.0                             # the probe-free reference
+            elif i % 4 == 2:
+                g *= 30.0                           # gamma_nl dominated
+            elif i % 4 == 3:
+                dk = -10.0 * abs(dk)                # a large negative mismatch
+            lo, hi = fock._spectral_interval(ws, dk, abs(k), abs(g))
+            dense = _kron_generator(cutoffs, k, g, dk)
+            w = np.linalg.eigvalsh(dense)
+            # the pair grid's reference slice: n_a = 0 only, so k drops out
+            w_slice = np.linalg.eigvalsh(_kron_generator((0,) + cutoffs[1:], k, g, dk))
+            tol = 1e-13 * max(1.0, np.max(np.abs(w)))
+            assert lo <= min(w[0], w_slice[0]) + tol
+            assert max(w[-1], w_slice[-1]) <= hi + tol
+            rs_lo, rs_hi = _row_sum_interval(dense)
+            assert rs_lo - tol <= lo and hi <= rs_hi + tol
+
+    @pytest.mark.parametrize("cutoffs", [(2, 2, 3), (5, 6, 4), (7, 7, 5)])
+    def test_tight_at_small_nonlinearity(self, rng, cutoffs):
+        # |gamma_nl| << |k|, as in perfbench's oracle_scan: the Weyl interval
+        # is within 3% of the spectrum's width (the Gershgorin one is about
+        # 1.3x it), which sets the Chebyshev degree
+        ws = fock._workspace(TruncationSpec(*cutoffs))
+        for dk in (1e-4, -1e-2, 0.3):
+            k = 0.1 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            g = 1e-3 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            lo, hi = fock._spectral_interval(ws, dk, abs(k), abs(g))
+            w = np.linalg.eigvalsh(_kron_generator(cutoffs, k, g, dk))
+            assert w[0] >= lo and w[-1] <= hi <= lo + 1.03 * (w[-1] - w[0])
+
+    @pytest.mark.parametrize("cutoffs", [(1, 1), (1, 4), (3, 1), (2, 2), (4, 5),
+                                         (5, 6), (7, 7), (12, 3)])
+    def test_ladder_bound(self, cutoffs):
+        # mu_max of a b1^ + a^ b1 on the (n_a, n_b1) box, from above
+        a, b1 = (_ladder(n) for n in cutoffs)
+        b = np.kron(a, b1.T)
+        want = np.linalg.eigvalsh(b + b.T)[-1]
+        assert want <= fock._ladder_bound(*cutoffs) <= want + 1e-9
+
+
 class TestWorkCount:
     """Matvecs per propagation, counted at the kernel binding.  A propagator
     as slow as the earlier substepped Taylor sum (180 and 720 matvecs)
@@ -342,13 +449,27 @@ class TestWorkCount:
         params = CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=0.3)
         inputs = CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2)
         oracle_zeno_parameter(params, inputs, 6.0, TruncationSpec(7, 7, 5))
-        assert matvecs[0] <= 70
+        assert matvecs[0] <= 36
+
+    @pytest.mark.parametrize("delta_k", [1e-4, 1e-2])
+    def test_oracle_scan_small_dk(self, matvecs, delta_k):
+        # the Weyl interval is about |k| mu_max wide here (the Gershgorin
+        # one 1.3x that), which sets the degree
+        params = CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=delta_k)
+        inputs = CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2)
+        oracle_zeno_parameter(params, inputs, 6.0, TruncationSpec(7, 7, 5))
+        assert matvecs[0] <= 28
+
+    def test_validate_point(self, matvecs):
+        # the oracle pair of `zenocoupler validate`
+        full, _ = fock._oracle_pair(FIG2_PARAMS, SMALL_INPUTS, 50.0, TruncationSpec(10, 10, 6))
+        assert full.steps_used == matvecs[0] <= 122
 
     def test_long_propagation(self, matvecs):
-        # h ~ 116: the (h/2)^N/N! scan alone keeps 190 terms, the trailing
-        # Bessel terms below the tolerance are dropped down to 172
+        # h ~ 93: the (h/2)^N/N! scan alone keeps 158 terms, the trailing
+        # Bessel terms below the tolerance are dropped down to 145
         r = propagate(FIG2_PARAMS, SMALL_INPUTS, 50.0, TruncationSpec(12, 12, 8))
-        assert r.steps_used == matvecs[0] <= 175
+        assert r.steps_used == matvecs[0] <= 144
 
 
 def _separate_pair(params, inputs, z, trunc):

@@ -110,3 +110,26 @@ def results():
 def test_result_attributes_resolve(results, owner, name):
     assert type(results[owner]).__name__ == owner
     assert hasattr(results[owner], name)
+
+
+def test_oracle_point_as_the_tracer_sees_it():
+    # perfbench's oracle_scan layer metrics read, from one
+    # oracle_zeno_parameter point: a CoherentInputs construction
+    # (params.calls), one build_coherent_state call (fock.coherent_state_s),
+    # one report returned through _propagate_raw (fock.steps_used_mean),
+    # and the 3-D grid each kernel call gets (kernels.flops_computed)
+    tracer = _load_tracing().Tracer()
+    params = zc.CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=1e-2)
+    inputs = zc.CoherentInputs(0.31, 0.29j, 0.2)
+    tracer.install()
+    try:
+        zc.oracle_zeno_parameter(params, inputs, 6.0, zc.TruncationSpec(7, 7, 5))
+    finally:
+        tracer.uninstall()
+    calls = {name: spans[0] for name, spans in tracer.by_name().items()}
+    assert calls["params.CoherentInputs"] >= 1
+    assert calls["fock.build_coherent_state"] == 1
+    assert calls["fock._propagate_raw"] == 1
+    assert len(tracer.steps_used) == 1 and tracer.steps_used[0] > 0
+    assert calls["kernels.apply_generator"] == tracer.steps_used[0]
+    assert {len(shape) for shape in tracer.kernel_shapes} == {3}
