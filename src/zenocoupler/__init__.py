@@ -14,7 +14,6 @@ from .coefficients import (
 )
 from .errors import (
     ExcessiveTruncationLoss,
-    InternalConsistencyError,
     InvalidParameters,
     NonConvergence,
     ZenoCouplerError,
@@ -61,7 +60,6 @@ __all__ = [
     "CouplerParams",
     "ExcessiveTruncationLoss",
     "FockStateVector",
-    "InternalConsistencyError",
     "InvalidParameters",
     "KERNEL_BACKEND",
     "ModeCoefficients",

@@ -25,7 +25,7 @@ import numpy as np
 from . import observables
 from .coefficients import compute_coefficients, compute_h2_prime
 from .errors import ExcessiveTruncationLoss, NonConvergence
-from .fock import TruncationSpec, _oracle_pair, propagate
+from .fock import TruncationSpec, propagate
 from .observables import mode_means, zeno_parameter, zeno_sample
 from .params import CoherentInputs, CouplerParams
 from .sweep import (
@@ -35,6 +35,7 @@ from .sweep import (
     SweepSpec,
     preset_sweep,
     run_sweep,
+    validate_against_oracle,
     z_from_gamma_z,
 )
 
@@ -451,22 +452,17 @@ def _validation_checks(cfg):
     resid = abs(na + n1 + 2 * n2 - total0)
     yield ("perturbative_conservation", resid, "<=1e-10", resid <= 1e-10)
 
-    # oracle: unitarity, conservation, and gamma^2 contraction at fixed z
-    small = CoherentInputs(alpha=1.0, beta=1.0, gamma=0.5)
-    trunc = TruncationSpec(10, 10, 6)
-    z_fix = 50.0
-    diffs = []
-    for g_nl in (1e-3, 5e-4):
-        pg = CouplerParams(k=0.1, gamma_nl=g_nl, delta_k=1e-4)
-        full, ref = _oracle_pair(pg, small, z_fix, trunc)
-        if g_nl == 1e-3:
-            yield ("oracle_norm_drift", full.norm_drift, "<=1e-10",
-                   full.norm_drift <= 1e-10)
-            yield ("oracle_conservation_drift", full.conservation_drift,
-                   "<=1e-8", full.conservation_drift <= 1e-8)
-        exact = full.expectations[2] - ref.expectations[2]
-        diffs.append(abs(exact - zeno_parameter(pg, small, z_fix)))
-    ratio = diffs[0] / diffs[1] if diffs[1] > 0 else math.inf
+    # oracle: unitarity, conservation, and gamma^2 contraction at z = 50
+    spec = SweepSpec(
+        params=CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=1e-4),
+        inputs=CoherentInputs(alpha=1.0, beta=1.0, gamma=0.5),
+        z_axis=AxisSpec(0.05, 0.05, 1),
+    )
+    report = validate_against_oracle(spec, TruncationSpec(10, 10, 6), sample_count=0)
+    norm, conservation = report.max_norm_drift, report.max_conservation_drift
+    yield ("oracle_norm_drift", norm, "<=1e-10", norm <= 1e-10)
+    yield ("oracle_conservation_drift", conservation, "<=1e-8", conservation <= 1e-8)
+    ratio = report.contraction_ratio
     yield ("oracle_gamma2_contraction", ratio, "in [3..5]", 3.0 <= ratio <= 5.0)
 
 

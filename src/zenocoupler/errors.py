@@ -17,8 +17,3 @@ class ExcessiveTruncationLoss(ZenoCouplerError):
 class NonConvergence(ZenoCouplerError):
     """The oracle's Chebyshev exponential would need a degree above its
     fixed cap (a propagation length far too long for the couplings)."""
-
-
-class InternalConsistencyError(ZenoCouplerError):
-    """A quantity that must be real came out with a significant
-    imaginary residue."""

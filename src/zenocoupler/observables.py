@@ -7,7 +7,10 @@ mean photon number is
 
 and the Zeno parameter is the excess over the probe-free (k=0, alpha=0)
 reference.  Negative values signal the quantum Zeno effect, positive
-values the anti-Zeno effect.
+values the anti-Zeno effect.  Every photon-number function returns finite
+numbers or raises InvalidParameters, also where the amplitudes are so
+large that the input photon number or a product of the closed form
+overflows.
 """
 
 from __future__ import annotations
@@ -19,13 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import compute_coefficients, compute_h2_prime
-from .errors import InternalConsistencyError, InvalidParameters
+from .errors import InvalidParameters
 from .params import CoherentInputs, CouplerParams
 
 DEFAULT_CLASSIFICATION_TOL = 1e-12
-
-# Largest imaginary residue tolerated in an X + conj(X) construction.
-_IMAG_RESIDUE_TOL = 1e-10
 
 
 class Classification(str, enum.Enum):
@@ -45,22 +45,23 @@ class ZenoSample:
     classification: Classification
 
 
-def _real_pair_sum(x):
-    """Return x + conj(x) as a real number (a real array for an array x),
-    guarding the residue."""
-    total = x + x.conjugate()
-    residue = abs(total.imag)
-    if isinstance(residue, np.ndarray):
-        residue = residue.max()
-    if residue > _IMAG_RESIDUE_TOL:
-        raise InternalConsistencyError(
-            f"imaginary residue {residue:.3e} in a real-by-construction sum"
-        )
-    return total.real
-
-
 def _amplitudes(inputs: CoherentInputs) -> tuple[complex, complex, complex]:
-    return complex(inputs.alpha), complex(inputs.beta), complex(inputs.gamma)
+    """(alpha, beta, gamma) as complex numbers; raises InvalidParameters when
+    the input photon number |alpha|^2 + |beta|^2 + 2|gamma|^2 overflows."""
+    a, b, g = complex(inputs.alpha), complex(inputs.beta), complex(inputs.gamma)
+    # x * conj(x) overflows to inf, where abs(x) ** 2 would raise OverflowError
+    photons = (a * a.conjugate() + b * b.conjugate() + 2 * g * g.conjugate()).real
+    if not photons < math.inf:
+        raise InvalidParameters("the input photon number overflows")
+    return a, b, g
+
+
+def _finite(x):
+    """x, a float or an array over z, once checked finite: at very large
+    amplitudes a closed-form product overflows to inf or NaN."""
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise InvalidParameters("the closed form overflows at these amplitudes")
+    return x
 
 
 # The three second-harmonic expressions, from given coefficients; each
@@ -68,18 +69,18 @@ def _amplitudes(inputs: CoherentInputs) -> tuple[complex, complex, complex]:
 def _n_b2(h, a: complex, b: complex, g: complex):
     _, h2, h3, h4 = h
     cross = (h2 * b * b + h3 * a * b + h4 * a * a) * g.conjugate()
-    return abs(g) ** 2 + _real_pair_sum(cross)
+    return _finite(abs(g) ** 2 + 2.0 * cross.real)
 
 
 def _n_b2_uncoupled(h2p, b: complex, g: complex):
-    return abs(g) ** 2 + _real_pair_sum(h2p * b * b * g.conjugate())
+    return _finite(abs(g) ** 2 + 2.0 * (h2p * b * b * g.conjugate()).real)
 
 
 def _delta_n_z(h, h2p, a: complex, b: complex, g: complex):
     # its own cross term in (h2 - h2'), not a difference of the two means
     _, h2, h3, h4 = h
     cross = ((h2 - h2p) * b * b + h3 * a * b + h4 * a * a) * g.conjugate()
-    return _real_pair_sum(cross)
+    return _finite(2.0 * cross.real)
 
 
 def _b2_coefficients(params: CouplerParams, z):
@@ -138,17 +139,12 @@ def classify(delta_n_z: float, tol: float = DEFAULT_CLASSIFICATION_TOL) -> Class
 
 
 def _signs(delta_n_z: np.ndarray, tol: float) -> np.ndarray:
-    """Array form of `classify`, as int8 signs: -1 Zeno, 0 Null, +1
-    AntiZeno, with the same thresholds and errors (an empty array is not
-    classified, so it raises nothing)."""
-    if delta_n_z.size:
-        if not tol >= 0:
-            raise InvalidParameters(f"tol must be non-negative, got {tol}")
-        bad = delta_n_z[~np.isfinite(delta_n_z)]
-        if bad.size:
-            raise InvalidParameters(
-                f"cannot classify a non-finite Zeno parameter ({bad[0]})"
-            )
+    """Array form of `classify` on finite values (every closed-form result
+    is), as int8 signs: -1 Zeno, 0 Null, +1 AntiZeno, with the same
+    thresholds and tol check (an empty array is not classified, so it
+    raises nothing)."""
+    if delta_n_z.size and not tol >= 0:
+        raise InvalidParameters(f"tol must be non-negative, got {tol}")
     return (delta_n_z > tol).astype(np.int8) - (delta_n_z < -tol)
 
 
@@ -184,10 +180,10 @@ def mode_means(
 
     lin_a = f1 * a + f2 * b
     lin_b1 = g1 * a + g2 * b
-    n_a = abs(lin_a) ** 2 + _real_pair_sum(
+    n_a = abs(lin_a) ** 2 + 2.0 * (
         g * lin_a.conjugate() * (f3 * b.conjugate() + f4 * a.conjugate())
-    )
-    n_b1 = abs(lin_b1) ** 2 + _real_pair_sum(
+    ).real
+    n_b1 = abs(lin_b1) ** 2 + 2.0 * (
         g * lin_b1.conjugate() * (g3 * b.conjugate() + g4 * a.conjugate())
-    )
-    return n_a, n_b1, _n_b2(c.h, a, b, g)
+    ).real
+    return _finite(n_a), _finite(n_b1), _n_b2(c.h, a, b, g)

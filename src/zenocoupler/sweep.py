@@ -13,11 +13,12 @@ share that evaluation.  The `SweepResult` is columnar: z, <N_b2>,
 classified in one array expression with `classify`'s thresholds and
 errors.  Each cell equals the scalar `zeno_sample` at its own z to
 rounding.  A row whose parameters raise InvalidParameters (e.g. k = 0,
-gamma_nl = 0, or a length or phase that overflows) fails as a whole:
-status "invalid", with NaN numbers and sign 0.  `SweepResult.cells` is a
-list of `SweepCell` records built from the arrays on first read;
-`find_transitions` and `validate_against_oracle` read the arrays and
-build no more cells than they return or compare.
+gamma_nl = 0, a length or phase that overflows, or amplitudes at which the
+closed form overflows) fails as a whole: status "invalid", with NaN
+numbers and sign 0.  `SweepResult.cells` is a list of `SweepCell` records
+built from the arrays on first read; `find_transitions` and
+`validate_against_oracle` read the arrays and build no more cells than
+they return or compare.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import InvalidParameters
-from .fock import TruncationSpec, oracle_zeno_parameter
+from .fock import TruncationSpec, _oracle_pair
 from .observables import (
     DEFAULT_CLASSIFICATION_TOL,
     Classification,
@@ -153,34 +154,26 @@ class SweepResult:
     def n_z(self) -> int:
         return len(self.gamma_z)
 
-    @functools.cached_property
-    def _built(self) -> list[SweepCell | None]:
-        # each cell built so far, at its flat index si * n_z + zi: the view
-        # and find_transitions share one object per cell
-        return [None] * self.z.size
-
-    def _cells_at(self, flat) -> list[SweepCell]:
-        """The cells at flat indices si * n_z + zi, in that order; each cell
-        is built once."""
-        built = self._built
-        todo = np.array(sorted({i for i in flat if built[i] is None}), dtype=np.intp)
-        rows, cols = np.divmod(todo, self.n_z)
+    def _cells_at(self, flat: np.ndarray) -> list[SweepCell]:
+        """New cells at the flat indices si * n_z + zi, in that order."""
+        rows, cols = np.divmod(flat, self.n_z)
         secondary, status, message = self.secondary_values, self.row_status, self.row_message
         columns = (self.z, self.n_b2, self.n_b2_uncoupled, self.delta_n_z, self.sign)
-        for i, si, zi, gz, z, nb, nr, d, s in zip(
-                todo.tolist(), rows.tolist(), cols.tolist(), self.gamma_z[cols].tolist(),
+        cells = []
+        for si, zi, gz, z, nb, nr, d, s in zip(
+                rows.tolist(), cols.tolist(), self.gamma_z[cols].tolist(),
                 *(column[rows, cols].tolist() for column in columns)):
             if status[si] == "ok":
                 sample = ZenoSample(z, nb, nr, d, _CLASSIFICATIONS[s])
-                built[i] = SweepCell(si, zi, secondary[si], gz, sample, "ok")
+                cells.append(SweepCell(si, zi, secondary[si], gz, sample, "ok"))
             else:
-                built[i] = SweepCell(si, zi, secondary[si], gz, None, status[si], message[si])
-        return [built[i] for i in flat]
+                cells.append(SweepCell(si, zi, secondary[si], gz, None, status[si], message[si]))
+        return cells
 
     @functools.cached_property
     def cells(self) -> list[SweepCell]:
         """Every cell, ordered by (secondary index, z index)."""
-        return self._cells_at(range(self.z.size))
+        return self._cells_at(np.arange(self.z.size))
 
 
 def _cell_parameters(spec: SweepSpec, name: str | None, value: float | None):
@@ -223,7 +216,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             row_z = z_from_gamma_z(gamma_z, params.gamma_nl)
             if params is not last_params:
                 last_params, terms = params, _b2_coefficients(params, row_z)
-            numbers = _b2_combine(*terms, inputs)
+            # an overflow is raised as InvalidParameters, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                numbers = _b2_combine(*terms, inputs)
         except InvalidParameters as exc:
             status[si], message[si] = "invalid", str(exc)
             continue
@@ -252,7 +247,7 @@ def find_transitions(result: SweepResult) -> list[tuple[SweepCell, SweepCell]]:
     opposite[:-1, :, 1] = sign[:-1, :] * sign[1:, :] < 0
     si, zi, axis = np.nonzero(opposite)
     first, second = si * nz + zi, (si + axis) * nz + zi + 1 - axis
-    ends = result._cells_at(np.concatenate((first, second)).tolist())
+    ends = result._cells_at(np.concatenate((first, second)))
     return list(zip(ends[:len(si)], ends[len(si):]))
 
 
@@ -261,6 +256,9 @@ class OracleValidationReport:
     max_discrepancy: float
     sampled_cells: int
     contraction_ratio: float
+    # the worst over every full-system oracle run, the contraction pair's too
+    max_norm_drift: float
+    max_conservation_drift: float
 
 
 ORACLE_AMPLITUDE_LIMIT = 2.0
@@ -293,6 +291,13 @@ def validate_against_oracle(
     rng = np.random.default_rng(ORACLE_SAMPLE_SEED)
     chosen = rng.choice(len(rows), size=min(sample_count, len(rows)), replace=False)
 
+    runs = []  # the full-system report of every oracle run
+
+    def exact_zeno(params, inputs, z):
+        full, ref = _oracle_pair(params, inputs, z, truncation)
+        runs.append(full)
+        return full.expectations[2] - ref.expectations[2]
+
     max_disc = 0.0
     for idx in sorted(int(i) for i in chosen):
         si, zi = rows[idx], cols[idx]
@@ -300,7 +305,7 @@ def validate_against_oracle(
             spec, spec.secondary_name, result.secondary_values[si]
         )
         z = result.z[si, zi].item()
-        exact = oracle_zeno_parameter(params, inputs, z, truncation)
+        exact = exact_zeno(params, inputs, z)
         max_disc = max(max_disc, abs(exact - result.delta_n_z[si, zi].item()))
 
     params, inputs = spec.params, spec.inputs
@@ -308,11 +313,13 @@ def validate_against_oracle(
     d = []
     for scale in (1.0, 0.5):
         p = dc_replace(params, gamma_nl=complex(params.gamma_nl) * scale)
-        exact = oracle_zeno_parameter(p, inputs, z, truncation)
+        exact = exact_zeno(p, inputs, z)
         d.append(abs(exact - zeno_parameter(p, inputs, z)))
     ratio = d[0] / d[1] if d[1] > 0 else math.inf
     return OracleValidationReport(
-        max_discrepancy=max_disc, sampled_cells=len(chosen), contraction_ratio=ratio
+        max_discrepancy=max_disc, sampled_cells=len(chosen), contraction_ratio=ratio,
+        max_norm_drift=max(r.norm_drift for r in runs),
+        max_conservation_drift=max(r.conservation_drift for r in runs),
     )
 
 

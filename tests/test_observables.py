@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from zenocoupler import (
     CoherentInputs,
     CouplerParams,
     InvalidParameters,
+    ZenoCouplerError,
     classify,
     mean_photon_b2,
     mean_photon_b2_uncoupled,
@@ -166,6 +169,44 @@ def test_non_finite_amplitude_rejected(mode, value):
         zeno_parameter(FIG2_PARAMS, CoherentInputs(**{mode: value}), 50.0)
     with pytest.raises(InvalidParameters):
         mode_means(FIG2_PARAMS, CoherentInputs(**{mode: value}), 50.0)
+
+
+# From far below 1 to far past where a squared amplitude overflows a double.
+OVERFLOW_GRID = (0.0, 1e-300, 1.0, 1e100, 1e150, 1e154, 1e160, 1e200, 1e300)
+
+
+class TestOverflowingAmplitudes:
+    def test_a_finite_number_or_a_typed_error(self):
+        # each of the five closed-form functions, at each triple of the grid
+        outcomes = {"finite": 0, "typed": 0}
+        for amplitudes in itertools.product(OVERFLOW_GRID, repeat=3):
+            inputs = CoherentInputs(*amplitudes)
+            for call in (
+                lambda: astuple(zeno_sample(FIG2_PARAMS, inputs, 50.0))[1:4],
+                lambda: mode_means(FIG2_PARAMS, inputs, 50.0),
+                lambda: (zeno_parameter(FIG2_PARAMS, inputs, 50.0),),
+                lambda: (mean_photon_b2(FIG2_PARAMS, inputs, 50.0),),
+                lambda: (mean_photon_b2_uncoupled(0.001, 1e-4, inputs, 50.0),),
+            ):
+                try:
+                    numbers = call()
+                except ZenoCouplerError:
+                    outcomes["typed"] += 1
+                    continue
+                assert all(math.isfinite(x) for x in numbers), amplitudes
+                outcomes["finite"] += 1
+        assert min(outcomes.values()) > 0
+
+    @pytest.mark.parametrize("amplitudes,message", [
+        ((0.0, 0.0, 1e154), "photon number overflows"),  # 2|gamma|^2 > max double
+        ((1e154, 0.0, 1e150), "closed form overflows"),  # h4 alpha^2 gamma*
+    ])
+    def test_which_guard_raises(self, amplitudes, message):
+        inputs = CoherentInputs(*amplitudes)
+        with pytest.raises(InvalidParameters, match=message):
+            zeno_parameter(FIG2_PARAMS, inputs, 50.0)
+        with pytest.raises(InvalidParameters, match=message):
+            mode_means(FIG2_PARAMS, inputs, 50.0)
 
 
 class TestZenoSample:
