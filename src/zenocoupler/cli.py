@@ -4,10 +4,11 @@ oracle propagation, and the self-validation suite.
 Exit codes: 0 success, 1 validation failure, 2 invalid input,
 4 oracle failure.
 
-Complex values are accepted as "re", "re+imI" (e.g. 0.1-0.25I) or polar
-"mag@phase_rad" (e.g. 2@1.5708).  Config files are flat key=value text
-with '#' comments; a key is a flag of the subcommand without its leading
-dashes and with underscores for hyphens, and any other key is an error.
+Complex values are accepted as "re", "re+imI" (e.g. 0.1-0.25I), Python's
+"re+imj", or polar "mag@phase_rad" (e.g. 2@1.5708).  Config files are
+flat key=value text with '#' comments; a key is a flag of the subcommand
+without its leading dashes and with underscores for hyphens, and any
+other key is an error.  Each subcommand's --help lists its CSV columns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import math
 import re
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -48,39 +49,14 @@ _POLAR_RE = re.compile(r"^([^@]+)@([^@]+)$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "re", "re+imI" or polar "mag@phase_rad"."""
+    """Parse "re", "re+imI", Python's "re+imj" or polar "mag@phase_rad"."""
     t = text.strip().replace(" ", "")
-    if not t:
-        raise ValueError("empty complex literal")
     m = _POLAR_RE.match(t)
     if m:
         return float(m.group(1)) * cmath.exp(1j * float(m.group(2)))
-    if t[-1] in "Ii":
-        body = t[:-1]
-        split = None
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                split = pos
-                break
-        if split is None:
-            re_part, im_part = "0", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
-        return complex(float(re_part), float(im_part))
-    return complex(float(t), 0.0)
-
-
-def format_complex(x: complex) -> str:
-    """Canonical rectangular encoding; parse(format(x)) == x."""
-    x = complex(x)
-    if x.imag == 0:
-        return repr(x.real)
-    sign = "+" if x.imag >= 0 else "-"
-    return f"{repr(x.real)}{sign}{repr(abs(x.imag))}I"
+    if t[-1:] in ("I", "i"):
+        t = t[:-1] + "j"
+    return complex(t)
 
 
 def parse_range(text: str) -> tuple[float, float, int]:
@@ -221,64 +197,45 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_table(header: list[str], rows: list[list], out_path: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    _write_lines(lines, out_path)
+def _csv_line(row) -> str:
+    return ",".join(map(_fmt, row))
 
 
-def _write_lines(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_coeffs(args) -> int:
-    cfg = RunConfig(args)
-    params = cfg.params()
+def _along_z(cfg: RunConfig, values: Callable[[float], Iterable],
+             default_gamma_z="0:0.1:11") -> tuple[list[str], bool]:
+    """One line per requested z: z, gamma_z, the command's values(z), then
+    ok."""
     g = abs(cfg.gamma_nl)
-    header = ["z", "gamma_z"]
-    names = ["f1", "f2", "f3", "f4", "g1", "g2", "g3", "g4", "h1", "h2", "h3", "h4"]
-    for n in names:
-        header += [f"{n}_re", f"{n}_im"]
-    header.append("status")
-    rows = []
-    for z in cfg.z_values():
-        c = compute_coefficients(params, float(z))
-        row = [float(z), g * float(z)]
-        for v in (*c.f, *c.g, *c.h):
-            row += [v.real, v.imag]
-        row.append("ok")
-        rows.append(row)
-    write_table(header, rows, cfg.out)
-    return EXIT_OK
+    lines = [_csv_line((z, g * z, *values(z), "ok"))
+             for z in cfg.z_values(default_gamma_z).tolist()]
+    return lines, True
 
 
-def cmd_zeno(args) -> int:
-    cfg = RunConfig(args)
+def cmd_coeffs(cfg: RunConfig) -> tuple[list[str], bool]:
     params = cfg.params()
-    inputs = cfg.inputs()
-    g = abs(cfg.gamma_nl)
-    header = ["z", "gamma_z", "n_b2", "n_b2_uncoupled", "delta_n_z",
-              "classification", "status"]
-    rows = []
-    for z in cfg.z_values():
-        s = zeno_sample(params, inputs, float(z), cfg.tol)
-        rows.append([s.z, g * s.z, s.n_b2, s.n_b2_uncoupled, s.delta_n_z,
-                     s.classification.value, "ok"])
-    write_table(header, rows, cfg.out)
-    return EXIT_OK
+
+    def values(z):
+        c = compute_coefficients(params, z)
+        return [part for v in (*c.f, *c.g, *c.h) for part in (v.real, v.imag)]
+
+    return _along_z(cfg, values)
+
+
+def cmd_zeno(cfg: RunConfig) -> tuple[list[str], bool]:
+    params, inputs = cfg.params(), cfg.inputs()
+
+    def values(z):
+        s = zeno_sample(params, inputs, z, cfg.tol)
+        return s.n_b2, s.n_b2_uncoupled, s.delta_n_z, s.classification.value
+
+    return _along_z(cfg, values)
 
 
 # classification column of each sign code; a sign indexes it directly
 _LABELS = tuple(c.value for c in _CLASSIFICATIONS)
 
 
-def cmd_sweep(args) -> int:
-    cfg = RunConfig(args)
+def cmd_sweep(cfg: RunConfig) -> tuple[list[str], bool]:
     if cfg.preset:
         # A preset fixes every sweep setting but the output path.
         ignored = [where for name, where in cfg.given.items()
@@ -305,9 +262,7 @@ def cmd_sweep(args) -> int:
             classification_tol=cfg.tol,
         )
     result = run_sweep(spec)
-    header = ["axis_name", "axis_value", "z", "gamma_z", "n_b2",
-              "n_b2_uncoupled", "delta_n_z", "classification", "status"]
-    lines = [",".join(header)]
+    lines = []
     axis_name = spec.secondary_name or ""
     gamma_z = result.gamma_z.tolist()
     columns = (result.z, result.n_b2, result.n_b2_uncoupled, result.delta_n_z, result.sign)
@@ -327,26 +282,18 @@ def cmd_sweep(args) -> int:
         template = f"{axis_name},{axis_value},%.15g,%.15g,%.15g,%.15g,%.15g,%s,ok"
         labels = map(_LABELS.__getitem__, signs)
         lines.extend(map(template.__mod__, zip(z, gamma_z, n_b2, n_ref, dnz, labels)))
-    _write_lines(lines, cfg.out)
-    return EXIT_OK
+    return lines, True
 
 
-def cmd_oracle(args) -> int:
-    cfg = RunConfig(args)
-    params = cfg.params()
-    inputs = cfg.inputs()
-    g = abs(cfg.gamma_nl)
-    header = ["z", "gamma_z", "n_a", "n_b1", "n_b2", "conservation_drift",
-              "norm_drift", "steps_used", "status"]
-    rows = []
-    for z in cfg.z_values(default_gamma_z="0.05"):
-        report = propagate(params, inputs, float(z), cfg.cutoffs)
-        na, n1, n2 = report.expectations
-        rows.append([float(z), g * float(z), na, n1, n2,
-                     report.conservation_drift, report.norm_drift,
-                     report.steps_used, "ok"])
-    write_table(header, rows, cfg.out)
-    return EXIT_OK
+def cmd_oracle(cfg: RunConfig) -> tuple[list[str], bool]:
+    params, inputs = cfg.params(), cfg.inputs()
+
+    def values(z):
+        report = propagate(params, inputs, z, cfg.cutoffs)
+        return (*report.expectations, report.conservation_drift, report.norm_drift,
+                report.steps_used)
+
+    return _along_z(cfg, values, default_gamma_z="0.05")
 
 
 def _validation_checks(cfg):
@@ -466,32 +413,43 @@ def _validation_checks(cfg):
     yield ("oracle_gamma2_contraction", ratio, "in [3..5]", 3.0 <= ratio <= 5.0)
 
 
-def cmd_validate(args) -> int:
-    cfg = RunConfig(args)
-    header = ["check", "measured", "threshold", "status"]
-    rows = []
-    all_ok = True
+def cmd_validate(cfg: RunConfig) -> tuple[list[str], bool]:
+    lines, all_ok = [], True
     for name, measured, threshold, ok in _validation_checks(cfg):
-        rows.append([name, float(measured), threshold, "pass" if ok else "FAIL"])
+        lines.append(_csv_line((name, float(measured), threshold, "pass" if ok else "FAIL")))
         all_ok &= ok
-    write_table(header, rows, cfg.out)
-    return EXIT_OK if all_ok else EXIT_VALIDATION_FAILED
+    return lines, all_ok
 
 
-# subcommand -> (handler, help, output columns)
+class _Command(NamedTuple):
+    """A subcommand: its handler, which returns the CSV lines below the
+    header and whether every check passed, its help, and its columns."""
+
+    run: Callable[[RunConfig], tuple[list[str], bool]]
+    help: str
+    columns: tuple[str, ...]
+
+
 _COMMANDS = {
-    "coeffs": (cmd_coeffs, "emit the twelve perturbative coefficients",
-               "z, gamma_z, then (re, im) pairs for f1..f4, g1..g4, h1..h4, then status"),
-    "zeno": (cmd_zeno, "emit Zeno-parameter samples along z",
-             "z, gamma_z, n_b2, n_b2_uncoupled, delta_n_z, classification, status"),
-    "sweep": (cmd_sweep, "emit a 1-D or 2-D Zeno-parameter grid",
-              "axis_name, axis_value, z, gamma_z, n_b2, n_b2_uncoupled, delta_n_z, "
-              "classification, status"),
-    "oracle": (cmd_oracle, "run the exact Fock-space propagation",
-               "z, gamma_z, n_a, n_b1, n_b2, conservation_drift, norm_drift, "
-               "steps_used, status"),
-    "validate": (cmd_validate, "run the full invariant suite (exit 0 iff all checks pass)",
-                 "check, measured, threshold, status"),
+    "coeffs": _Command(
+        cmd_coeffs, "emit the twelve perturbative coefficients",
+        ("z", "gamma_z",
+         *(f"{name}{i}_{part}" for name in "fgh" for i in range(1, 5) for part in ("re", "im")),
+         "status")),
+    "zeno": _Command(
+        cmd_zeno, "emit Zeno-parameter samples along z",
+        ("z", "gamma_z", "n_b2", "n_b2_uncoupled", "delta_n_z", "classification", "status")),
+    "sweep": _Command(
+        cmd_sweep, "emit a 1-D or 2-D Zeno-parameter grid",
+        ("axis_name", "axis_value", "z", "gamma_z", "n_b2", "n_b2_uncoupled", "delta_n_z",
+         "classification", "status")),
+    "oracle": _Command(
+        cmd_oracle, "run the exact Fock-space propagation",
+        ("z", "gamma_z", "n_a", "n_b1", "n_b2", "conservation_drift", "norm_drift",
+         "steps_used", "status")),
+    "validate": _Command(
+        cmd_validate, "run the full invariant suite (exit 0 iff all checks pass)",
+        ("check", "measured", "threshold", "status")),
 }
 
 
@@ -506,29 +464,37 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, columns) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text, description=f"Columns: {columns}.")
+    for command, (_, help_text, columns) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text,
+                           description=f"Columns: {', '.join(columns)}.")
         for name, setting in _SETTINGS.items():
             if command in setting.commands:
                 text = setting.default_for(command)
                 default = f" (default {text})" if text else ""
                 p.add_argument(_flag(name), dest=name, help=setting.help + default)
         p.add_argument("--config", help="key=value config file")
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = RunConfig(args)
+        lines, passed = command.run(cfg)
+        text = "\n".join([",".join(command.columns), *lines]) + "\n"
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (NonConvergence, ExcessiveTruncationLoss) as exc:
         print(f"error: oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_FAILURE
     except (ValueError, OSError) as exc:  # InvalidParameters is a ValueError
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    return EXIT_OK if passed else EXIT_VALIDATION_FAILED
 
 
 if __name__ == "__main__":

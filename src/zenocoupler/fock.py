@@ -50,9 +50,6 @@ and Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1) gives
     [min(0, -dk n_b2_max) - |k| mu_max - |gamma_nl| w,
      max(0, -dk n_b2_max) + |k| mu_max + |gamma_nl| w].
 
-The table's Gershgorin discs (row sums) give a second rigorous interval,
-tighter when the gamma_nl term dominates; the step uses the intersection.
-
 An oracle point needs the full system and its probe-free reference (k = 0,
 alpha = 0).  The reference's coherent input is exactly zero off n_a = 0,
 and with k = 0 nothing leaves that slice, so it rides along as one extra
@@ -62,9 +59,8 @@ full input's own b1 and b2 expansions.  The slice's a-terms have zero
 magnitudes, so the full system's coefficients serve both blocks.  The
 reference block's spectrum lies in the interval too: it is that of
 -dk N_b2 + W on the slice, inside the Weyl bound with the |k| term left
-out, and each slice row's Gershgorin disc lies inside that of the full
-row with the same (n_b1, n_b2).  The interval, and so the degree, are
-those of the full run: the reference's steps_used equals the full run's.
+out.  The interval, and so the degree, are those of the full run: the
+reference's steps_used equals the full run's.
 
 Every report's statistics come from one product of |psi|^2 with a (D, 5)
 matrix of columns [1, n_a, n_b1, n_b2, faces] cached per truncation: the
@@ -218,14 +214,9 @@ class _Workspace:
         # |psi|^2 @ statistics = [norm^2, <N_a>, <N_b1>, <N_b2>, boundary mass]
         self.statistics = np.stack([np.ones(self.dimension), na, n1, n2, faces], axis=1)
         self.number_b2 = np.arange(float(d2))
-        # Gershgorin rows over (n_b1, n_b2): [n_b2, the largest a-term row
-        # sum over n_a, the b1^2-term row sum], all rows' extremes
-        ab = (self.mags[1] + self.mags[2]).reshape(da, d1 * d2).max(axis=0)
-        bb = (self.mags[3] + self.mags[4])[:d1 * d2]
-        self.row_sums = np.stack([n2[:d1 * d2].astype(float), ab, bb])
-        self.bb_bound = float(bb.max())
-        for table in (self.cols, self.mags, self.statistics, self.number_b2,
-                      self.row_sums):
+        # w of the Weyl interval: the largest b1^2-term row sum
+        self.bb_bound = float((self.mags[3] + self.mags[4])[:d1 * d2].max())
+        for table in (self.cols, self.mags, self.statistics, self.number_b2):
             table.flags.writeable = False
 
     @functools.cached_property
@@ -394,15 +385,11 @@ def _jacobi_anger_factors(degree: int) -> np.ndarray:
 def _spectral_interval(ws: _Workspace, delta_k: float, k_abs: float,
                        gamma_abs: float) -> tuple[float, float]:
     """[lo, hi] holding the spectrum of A = G(0)/hbar - dk N_b2 on ws's
-    truncation (and on its pair grid): the Weyl interval intersected with
-    the Gershgorin row-sum interval (module docstring)."""
+    truncation (and on its pair grid): the Weyl interval (module
+    docstring)."""
     shift = -delta_k * (ws.shape[2] - 1)
     reach = k_abs * ws.ladder_bound + gamma_abs * ws.bb_bound
-    # the Gershgorin discs' lowest left end (negated) and highest right end
-    far = (np.array([[delta_k, k_abs, gamma_abs], [-delta_k, k_abs, gamma_abs]])
-           @ ws.row_sums).max(axis=1).tolist()
-    return (max(min(0.0, shift) - reach, -far[0]),
-            min(max(0.0, shift) + reach, far[1]))
+    return min(0.0, shift) - reach, max(0.0, shift) + reach
 
 
 def _sum_terms(flat, coefficients, terms, summed):

@@ -236,7 +236,7 @@ def find_transitions(result: SweepResult) -> list[tuple[SweepCell, SweepCell]]:
     """Adjacent cell pairs (along either grid axis) whose Zeno parameters
     have strictly opposite sign classifications, in row-major order of
     their first cell, the z neighbour before the secondary neighbour.  Only
-    the cells returned are built."""
+    the cells returned are built, each once, however many brackets it ends."""
     ns, nz = result.n_secondary, result.n_z
     if ns * nz < 2:
         raise InvalidParameters("need at least 2 samples to bracket a transition")
@@ -247,7 +247,9 @@ def find_transitions(result: SweepResult) -> list[tuple[SweepCell, SweepCell]]:
     opposite[:-1, :, 1] = sign[:-1, :] * sign[1:, :] < 0
     si, zi, axis = np.nonzero(opposite)
     first, second = si * nz + zi, (si + axis) * nz + zi + 1 - axis
-    ends = result._cells_at(np.concatenate((first, second)))
+    flat, where = np.unique(np.concatenate((first, second)), return_inverse=True)
+    cells = result._cells_at(flat)
+    ends = [cells[i] for i in where.tolist()]
     return list(zip(ends[:len(si)], ends[len(si):]))
 
 

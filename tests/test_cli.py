@@ -4,7 +4,6 @@ import math
 from contextlib import redirect_stdout
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from zenocoupler import (
@@ -16,7 +15,7 @@ from zenocoupler import (
     zeno_parameter,
 )
 from zenocoupler import cli, fock
-from zenocoupler.cli import format_complex, main, parse_complex, parse_range
+from zenocoupler.cli import main, parse_complex, parse_range
 
 
 def run_cli(argv):
@@ -44,6 +43,14 @@ class TestComplexEncoding:
             ("-0.5I", -0.5j),
             ("2I", 2j),
             ("1e-3+2e-4I", 1e-3 + 2e-4j),
+            ("I", 1j),
+            ("-I", -1j),
+            ("1+I", 1 + 1j),
+            ("infI", complex(0.0, math.inf)),
+            ("1e5+2e+3I", 1e5 + 2e3j),
+            ("  -0.5 I ", -0.5j),
+            ("1+2j", 1 + 2j),
+            ("(1+2j)", 1 + 2j),
         ],
     )
     def test_parse(self, text, value):
@@ -53,15 +60,10 @@ class TestComplexEncoding:
         got = parse_complex("2@1.5707963267948966")
         assert got == pytest.approx(2j, abs=1e-15)
 
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            x = complex(rng.normal(), rng.normal() * (rng.random() > 0.3))
-            assert parse_complex(format_complex(x)) == x
-
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            parse_complex("abc")
+        for text in ("abc", "", "(1+2I)"):
+            with pytest.raises(ValueError):
+                parse_complex(text)
 
 
 class TestParseRange:
@@ -367,6 +369,20 @@ def test_tol_is_usage_error_outside_zeno_and_sweep(command, flag, capsys):
         main([command, flag, "1e-9"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["coeffs", "--z", "1"], ["zeno", "--z", "1"],
+                                  ["sweep", "--z", "1"], ["oracle"], ["validate"]],
+                         ids=lambda argv: argv[0])
+def test_header_is_the_help_column_list(argv, capsys):
+    # one column tuple per subcommand gives both the CSV header and --help
+    code, out = run_cli(argv)
+    assert code == 0
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    listed = help_text.split("Columns: ", 1)[1].split(".", 1)[0]
+    assert out.splitlines()[0].split(",") == listed.split(", ")
 
 
 class TestParserReuse:

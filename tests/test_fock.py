@@ -375,16 +375,9 @@ class TestChebyshevCoefficients:
         assert np.max(np.abs(total - np.exp(1j * h * x))) <= 1e-13
 
 
-def _row_sum_interval(dense):
-    """Union of the Gershgorin discs of a dense Hermitian matrix."""
-    diag = np.diag(dense).real
-    radius = np.sum(np.abs(dense), axis=1) - np.abs(diag)
-    return np.min(diag - radius), np.max(diag + radius)
-
-
 class TestSpectralInterval:
-    """The Weyl-and-Gershgorin interval of the Chebyshev step against dense
-    eigenvalues of the ladder-matrix generator."""
+    """The Weyl interval of the Chebyshev step against dense eigenvalues of
+    the ladder-matrix generator."""
 
     @pytest.mark.parametrize("cutoffs", TABLE_CUTOFFS + [(7, 7, 5)])
     def test_holds_the_spectrum(self, rng, cutoffs):
@@ -398,21 +391,18 @@ class TestSpectralInterval:
             elif i % 4 == 3:
                 dk = -10.0 * abs(dk)                # a large negative mismatch
             lo, hi = fock._spectral_interval(ws, dk, abs(k), abs(g))
-            dense = _kron_generator(cutoffs, k, g, dk)
-            w = np.linalg.eigvalsh(dense)
+            w = np.linalg.eigvalsh(_kron_generator(cutoffs, k, g, dk))
             # the pair grid's reference slice: n_a = 0 only, so k drops out
             w_slice = np.linalg.eigvalsh(_kron_generator((0,) + cutoffs[1:], k, g, dk))
             tol = 1e-13 * max(1.0, np.max(np.abs(w)))
             assert lo <= min(w[0], w_slice[0]) + tol
             assert max(w[-1], w_slice[-1]) <= hi + tol
-            rs_lo, rs_hi = _row_sum_interval(dense)
-            assert rs_lo - tol <= lo and hi <= rs_hi + tol
 
     @pytest.mark.parametrize("cutoffs", [(2, 2, 3), (5, 6, 4), (7, 7, 5)])
     def test_tight_at_small_nonlinearity(self, rng, cutoffs):
         # |gamma_nl| << |k|, as in perfbench's oracle_scan: the Weyl interval
-        # is within 3% of the spectrum's width (the Gershgorin one is about
-        # 1.3x it), which sets the Chebyshev degree
+        # is within 3% of the spectrum's width, which sets the Chebyshev
+        # degree
         ws = fock._workspace(TruncationSpec(*cutoffs))
         for dk in (1e-4, -1e-2, 0.3):
             k = 0.1 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
@@ -456,8 +446,8 @@ class TestWorkCount:
 
     @pytest.mark.parametrize("delta_k", [1e-4, 1e-2])
     def test_oracle_scan_small_dk(self, matvecs, delta_k):
-        # the Weyl interval is about |k| mu_max wide here (the Gershgorin
-        # one 1.3x that), which sets the degree
+        # the Weyl interval is about |k| mu_max wide here, which sets the
+        # degree
         params = CouplerParams(k=0.1, gamma_nl=1e-3, delta_k=delta_k)
         inputs = CoherentInputs(alpha=0.3, beta=0.3, gamma=0.2)
         oracle_zeno_parameter(params, inputs, 6.0, TruncationSpec(7, 7, 5))

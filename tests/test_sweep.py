@@ -376,6 +376,37 @@ class TestFindTransitions:
             )
             assert find_transitions(result) == pair_loop(result.cells, ns, nz)
 
+    def test_builds_each_end_once(self, monkeypatch):
+        # a checkerboard: every inner cell ends four brackets
+        ns, nz = 4, 5
+        spec = SweepSpec(
+            params=FIG2_PARAMS,
+            inputs=FIG2_INPUTS,
+            z_axis=AxisSpec(0.0, 0.1, nz),
+            secondary_name="phi",
+            secondary_axis=AxisSpec(0.0, 1.0, ns),
+        )
+        sign = np.where(np.add.outer(np.arange(ns), np.arange(nz)) % 2, 1, -1).astype(np.int8)
+        numbers = sign.astype(float)
+        result = SweepResult(
+            spec, spec.z_axis.values(), tuple(spec.secondary_axis.values().tolist()),
+            numbers, numbers, numbers, numbers, sign, ("ok",) * ns, ("",) * ns,
+        )
+        built = []
+        cell_type = sweep.SweepCell
+
+        def counting(*args):
+            built.append(cell_type(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sweep, "SweepCell", counting)
+        brackets = find_transitions(result)
+        monkeypatch.undo()
+        assert len(brackets) == ns * (nz - 1) + (ns - 1) * nz
+        ends = {(cell.secondary_index, cell.z_index) for pair in brackets for cell in pair}
+        assert len(built) == len(ends) == ns * nz
+        assert brackets == pair_loop(result.cells, ns, nz)
+
     def test_builds_only_the_cells_it_returns(self):
         result = run_sweep(preset_sweep("fig3"))
         brackets = find_transitions(result)
